@@ -58,4 +58,4 @@ __all__ = [
     "__version__",
 ]
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

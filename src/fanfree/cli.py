@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from dataclasses import replace
 from typing import Iterable, TextIO
@@ -190,12 +189,16 @@ def _cmd_fan_free(args) -> int:
 
 def _cmd_certify(args) -> int:
     tol = _tolerances(args)
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
+    if args.jobs < 1 or (args.shards is not None and args.shards < 1):
+        raise _UsageError("--jobs and --shards must be at least 1")
+    shards = args.shards
+    if shards is None and args.jobs > 1:
+        shards = args.jobs
     source = None
     if args.input is not None:
         source = list(_read_graphs(args.input, args.fail_fast))
     cert = certify_max_q1(args.n, args.k, source, tolerances=tol,
-                          shards=args.shards, jobs=jobs)
+                          shards=shards, jobs=args.jobs)
     logger.info("certify n=%d k=%d: scanned %d fan-free of %d classes in %.2fs",
                 cert.n, cert.k, cert.scanned, cert.total, cert.elapsed)
     sink, owned = _open_output(args.output)
@@ -350,9 +353,10 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, help="graph order")
     p.add_argument("--k", type=int, help="fan parameter")
     p.add_argument("--shards", type=int, default=None,
-                   help="split the scan into this many enumeration shards")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: one per processor)")
+                   help="split the scan into this many enumeration shards "
+                        "(default: one per job)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes that scan the shards (default 1)")
     _add_io(p)
     _add_tol(p)
     p.set_defaults(run=_cmd_certify, default_format="json",

@@ -10,8 +10,10 @@ labelling is canonical, enumerates every isomorphism class once with no
 global dedup table.
 
 The canonicity test is a depth-first search for a lexicographically
-greater relabelling, pruned by interchangeable-vertex (twin) classes; it
-is JIT-compiled with numba when available.
+greater relabelling over candidate bitmasks, pruned by
+interchangeable-vertex (twin) classes.  Each parent first rejects the
+extensions that already lose on the identity labelling, which is most
+of them, before any search runs.
 """
 
 from __future__ import annotations
@@ -20,16 +22,7 @@ import logging
 from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO
 
-import numpy as np
-
 from .graphs import MAX_VERTICES, Graph, Graph6Error, graph6_decode, graph6_encode
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
 
 logger = logging.getLogger("fanfree")
 
@@ -95,6 +88,7 @@ def _twin_classes_py(adj: tuple[int, ...] | list[int], n: int) -> list[int]:
 
 
 def _identity_groups(adj, n: int) -> list[int]:
+    """Group values of the identity labelling, level by level."""
     groups = [0] * n
     for j in range(1, n):
         val = 0
@@ -104,152 +98,90 @@ def _identity_groups(adj, n: int) -> list[int]:
     return groups
 
 
-def _is_canonical_py(adj, n: int) -> bool:
+def _is_canonical(adj, n: int, t: list[int]) -> bool:
+    """Whether the identity labelling of ``adj`` is canonical.
+
+    ``t`` holds the identity's group values.  The search places vertices
+    level by level; the candidates for the next level are the unplaced
+    vertices whose group value equals the identity's, kept as a bitmask,
+    and any unplaced vertex whose group value exceeds it proves a greater
+    relabelling.  Candidates are taken lowest first, one per twin class.
+    """
     if n <= 1:
         return True
-    t = _identity_groups(adj, n)
     cls = _twin_classes_py(adj, n)
-    gvals = [[0] * n for _ in range(n)]
+    members = [0] * n
+    for v in range(n):
+        members[cls[v]] |= 1 << v
+    twins = [members[cls[v]] for v in range(n)]
+    full = (1 << n) - 1
     chosen = [0] * n
-    nextu = [0] * n
-    seen = [0] * n
-    used = 0
+    placed_adj = [0] * n  # adjacency of the vertex placed at each position
+    cand = [0] * n
+    cand[0] = full
+    placed = 0
     level = 0
     while True:
-        u = nextu[level]
-        found = False
-        while u < n:
-            if (not used >> u & 1 and gvals[level][u] == t[level]
-                    and not seen[level] >> cls[u] & 1):
-                found = True
-                break
-            u += 1
-        if not found:
+        c = cand[level]
+        if not c:
             level -= 1
             if level < 0:
                 return True
-            used &= ~(1 << chosen[level])
+            placed &= ~(1 << chosen[level])
             continue
-        nextu[level] = u + 1
-        seen[level] |= 1 << cls[u]
+        u = (c & -c).bit_length() - 1
+        cand[level] = c & ~twins[u]
         chosen[level] = u
-        used |= 1 << u
+        placed_adj[level] = adj[u]
+        placed |= 1 << u
+        level += 1
+        # bit level-1-i of t[level] is the identity's adjacency to the
+        # vertex placed at position i
+        eq = full & ~placed
+        bit = 1 << level
+        tl = t[level]
+        for a in placed_adj[:level]:
+            bit >>= 1
+            if tl & bit:
+                eq &= a
+            elif eq & a:
+                return False
         if level == n - 1:
-            used &= ~(1 << u)  # complete equal relabelling: an automorphism
-            continue
-        nl = level + 1
-        for w in range(n):
-            if not used >> w & 1:
-                gw = (gvals[level][w] << 1) | (adj[w] >> u & 1)
-                if gw > t[nl]:
-                    return False
-                gvals[nl][w] = gw
-        level = nl
-        nextu[level] = 0
-        seen[level] = 0
+            # the last vertex is forced: a complete equal relabelling,
+            # which is an automorphism
+            level -= 1
+            placed &= ~(1 << u)
+        else:
+            cand[level] = eq
 
 
-if _HAVE_NUMBA:
+def _children(rows: list[int], t: list[int]) -> Iterator[tuple[list[int], list[int]]]:
+    """Canonical one-vertex extensions of a canonical parent, with their
+    identity groups, in ascending order of the new vertex's group value.
 
-    @njit(cache=True)
-    def _is_canonical_nb(adj, n):  # pragma: no cover - jit mirror of _is_canonical_py
-        if n <= 1:
-            return True
-        t = np.zeros(n, dtype=np.int64)
-        for j in range(1, n):
-            val = 0
-            for i in range(j):
-                val = (val << 1) | ((adj[j] >> i) & 1)
-            t[j] = val
-        parent = np.arange(n)
-        for u in range(n):
-            for w in range(u + 1, n):
-                m = (1 << u) | (1 << w)
-                if (adj[u] & ~m) == (adj[w] & ~m):
-                    ru = u
-                    while parent[ru] != ru:
-                        ru = parent[ru]
-                    rw = w
-                    while parent[rw] != rw:
-                        rw = parent[rw]
-                    if ru != rw:
-                        parent[rw] = ru
-        cls = np.zeros(n, dtype=np.int64)
-        for v in range(n):
-            r = v
-            while parent[r] != r:
-                r = parent[r]
-            cls[v] = r
-        gvals = np.zeros((n, n), dtype=np.int64)
-        chosen = np.zeros(n, dtype=np.int64)
-        nextu = np.zeros(n, dtype=np.int64)
-        seen = np.zeros(n, dtype=np.int64)
-        used = 0
-        level = 0
-        while True:
-            u = nextu[level]
-            found = False
-            while u < n:
-                if ((used >> u) & 1) == 0 and gvals[level, u] == t[level] \
-                        and ((seen[level] >> cls[u]) & 1) == 0:
-                    found = True
-                    break
-                u += 1
-            if not found:
-                level -= 1
-                if level < 0:
-                    return True
-                used &= ~(1 << chosen[level])
-                continue
-            nextu[level] = u + 1
-            seen[level] |= 1 << cls[u]
-            chosen[level] = u
-            used |= 1 << u
-            if level == n - 1:
-                used &= ~(1 << u)
-                continue
-            nl = level + 1
-            for w in range(n):
-                if ((used >> w) & 1) == 0:
-                    gw = (gvals[level, w] << 1) | ((adj[w] >> u) & 1)
-                    if gw > t[nl]:
-                        return False
-                    gvals[nl, w] = gw
-            level = nl
-            nextu[level] = 0
-            seen[level] = 0
-
-    @njit(cache=True)
-    def _accepted_extensions_nb(rows, m):  # pragma: no cover - jit
-        """Neighbour subsets s whose extension of a canonical parent is canonical."""
-        out = np.empty(1 << m, dtype=np.int64)
-        child = np.empty(m + 1, dtype=np.int64)
-        cnt = 0
-        for s in range(1 << m):
-            for i in range(m):
-                child[i] = rows[i] | (((s >> i) & 1) << m)
-            child[m] = s
-            if _is_canonical_nb(child, m + 1):
-                out[cnt] = s
-                cnt += 1
-        return out[:cnt]
-
-
-def _accepted_extensions_py(rows: np.ndarray, m: int) -> list[int]:
-    parent = [int(x) for x in rows]
-    accepted = []
-    for s in range(1 << m):
-        child = [parent[i] | ((s >> i & 1) << m) for i in range(m)]
-        child.append(s)
-        if _is_canonical_py(child, m + 1):
-            accepted.append(s)
-    return accepted
-
-
-def _accepted_extensions(rows: np.ndarray, m: int) -> list[int]:
-    if _HAVE_NUMBA:
-        return [int(s) for s in _accepted_extensions_nb(rows, m)]
-    return _accepted_extensions_py(rows, m)
+    The new vertex m has group value g, its neighbour set bit-reversed.
+    The full search walks the identity labelling first, where the top
+    ``nl`` bits of g exceeding ``t[nl]`` at some level ``nl`` prove a
+    greater relabelling.  That is checked without building the child and
+    skips every g sharing those top bits; only the rest get the search.
+    """
+    m = len(rows)
+    top = 1 << m
+    g = 0
+    while g < top:
+        for nl in range(1, m):
+            shift = m - nl
+            if g >> shift > t[nl]:
+                g = ((g >> shift) + 1) << shift
+                break
+        else:
+            s = _reverse_bits(g, m)
+            child = [rows[i] | ((s >> i & 1) << m) for i in range(m)]
+            child.append(s)
+            child_t = t + [g]
+            if _is_canonical(child, m + 1, child_t):
+                yield child, child_t
+            g += 1
 
 
 def _reverse_bits(s: int, m: int) -> int:
@@ -259,14 +191,14 @@ def _reverse_bits(s: int, m: int) -> int:
     return out
 
 
-def _connected_rows(rows: np.ndarray, n: int) -> bool:
+def _connected_rows(rows: list[int], n: int) -> bool:
     seen = 1
     frontier = 1
     while frontier:
         reach = 0
         for v in range(n):
             if frontier >> v & 1:
-                reach |= int(rows[v])
+                reach |= rows[v]
         frontier = reach & ~seen
         seen |= reach
     return seen == (1 << n) - 1
@@ -363,7 +295,7 @@ def enumerate_graphs(task: EnumerationTask) -> Iterator[Graph]:
     shard = task.shard
     parent_counter = 0
 
-    def walk(rows: np.ndarray) -> Iterator[np.ndarray]:
+    def walk(rows: list[int], t: list[int]) -> Iterator[list[int]]:
         nonlocal parent_counter
         m = len(rows)
         if m == n:
@@ -374,22 +306,13 @@ def enumerate_graphs(task: EnumerationTask) -> Iterator[Graph]:
             parent_counter += 1
             if idx % shard[1] != shard[0]:
                 return
-        accepted = _accepted_extensions(rows, m)
-        accepted.sort(key=lambda s: _reverse_bits(s, m))
-        for s in accepted:
-            child = np.empty(m + 1, dtype=np.int64)
-            child[:m] = rows
-            for i in range(m):
-                if s >> i & 1:
-                    child[i] |= 1 << m
-            child[m] = s
-            yield from walk(child)
+        for child, child_t in _children(rows, t):
+            yield from walk(child, child_t)
 
-    root = np.zeros(1, dtype=np.int64)
-    for rows in walk(root):
+    for rows in walk([0], [0]):
         if task.connected_only and not _connected_rows(rows, n):
             continue
-        yield Graph._from_trusted(n, tuple(int(x) for x in rows))
+        yield Graph._from_trusted(n, tuple(rows))
 
 
 # -- graph6 streaming --------------------------------------------------

@@ -2,7 +2,8 @@
 closed-form extremal constructions with self-checked builders.
 
 The flagship routine scans every isomorphism class of a given order,
-keeps the fan-free ones, eigensolves each survivor, and certifies the
+keeps the fan-free ones, eigensolves those whose degree bound does not
+already rule them out of the top values, and certifies the
 spectral-radius maximiser together with a uniqueness margin.  The
 certified claim: for k >= 2 and n >= 3k^2 - k - 2 the complete split
 graph is the unique maximiser; below that threshold the certificate
@@ -15,6 +16,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Iterable, TextIO, Union
 
 from .config import DEFAULT_TOLERANCES, Tolerances
@@ -23,7 +25,8 @@ from .fans import is_fan_free
 from .graphs import (Graph, complete_bipartite, graph6_decode, graph6_encode,
                      make_split)
 from .matching import ForbiddenPattern, Regime, TuranRecord, is_kk2_free, turan_kk2
-from .spectral import q1, rayleigh_power_lambda1, signless_laplacian, spectrum
+from .spectral import (_degree_bound, q1, rayleigh_power_lambda1,
+                       signless_laplacian, spectrum)
 
 Source = Union[EnumerationTask, Iterable[Graph], None]
 
@@ -111,11 +114,16 @@ class _TopList:
         self.margin = margin
         self.entries: list[tuple[float, str]] = []
 
-    def offer(self, value: float, make_text) -> None:
+    def excludes(self, value: float) -> bool:
+        """Whether an offer of ``value``, or of anything smaller, is
+        dropped now and at every later point."""
         e = self.entries
-        if len(e) >= 5 and value < e[-1][0] and value < e[0][0] - self.margin:
+        return len(e) >= 5 and value < e[-1][0] and value < e[0][0] - self.margin
+
+    def offer(self, value: float, make_text) -> None:
+        if self.excludes(value):
             return
-        e.append((value, make_text()))
+        self.entries.append((value, make_text()))
         self._trim()
 
     def merge(self, other: "_TopList") -> None:
@@ -132,19 +140,29 @@ class _TopList:
 
 def _scan(graphs: Iterable[Graph], n: int, k: int,
           tol: Tolerances) -> tuple[_TopList, int, int]:
-    top = _TopList(tol.margin)
-    scanned = 0
+    """Top list of the fan-free graphs, with the fan-free and total counts.
+
+    The fan-free graphs are eigensolved in descending order of their
+    degree bound, stopping at the first whose bound (plus the
+    eigensolver's accuracy) the list already excludes, since every later
+    bound is no larger.  The final list does not depend on the order of
+    offers, so it equals that of a scan that eigensolves every graph.
+    """
+    survivors: list[tuple[float, Graph]] = []
     total = 0
     for g in graphs:
         if g.n != n:
             raise ValueError(f"source produced a graph of order {g.n}, expected {n}")
         total += 1
-        if not is_fan_free(g, k):
-            continue
-        scanned += 1
-        value = q1(g, tolerances=tol)
-        top.offer(value, lambda g=g: canonical_form(g).text)
-    return top, scanned, total
+        if is_fan_free(g, k):
+            survivors.append((_degree_bound(g), g))
+    survivors.sort(key=itemgetter(0), reverse=True)
+    top = _TopList(tol.margin)
+    for bound, g in survivors:
+        if top.excludes(bound + tol.eigen):
+            break
+        top.offer(q1(g, tolerances=tol), lambda g=g: canonical_form(g).text)
+    return top, len(survivors), total
 
 
 def _scan_shard(args: tuple[int, int, int, int, Tolerances]):
@@ -168,9 +186,10 @@ def certify_max_q1(n: int, k: int, source: Source = None, *,
 
     ``source`` may be an EnumerationTask, an iterable of graphs (for
     example a decoded graph6 stream), or None for the default exhaustive
-    run; ``shards``/``jobs`` split the default run over enumeration
-    shards with a deterministic merge, so the certificate is identical
-    to the unsharded one apart from ``elapsed``.
+    run; ``shards`` splits the default run over enumeration shards,
+    scanned by ``jobs`` worker processes (serially when ``jobs`` is 1),
+    with a deterministic merge, so the certificate is identical to the
+    unsharded one apart from ``elapsed``.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -182,7 +201,7 @@ def certify_max_q1(n: int, k: int, source: Source = None, *,
         if jobs > 1:
             import multiprocessing
 
-            with multiprocessing.Pool(jobs) as pool:
+            with multiprocessing.Pool(min(jobs, shards)) as pool:
                 parts = pool.map(_scan_shard, plans)
         else:
             parts = [_scan_shard(p) for p in plans]

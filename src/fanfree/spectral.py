@@ -2,10 +2,10 @@
 
 The eigensolver is cyclic Jacobi on the full dense matrix: orders are at
 most 64, so the O(n^3)-per-sweep cost is negligible, and Jacobi is
-backward-stable and easy to make deterministic.  The hot loop is
-JIT-compiled with numba when available (pure-numpy fallback otherwise);
-``rayleigh_power_lambda1`` provides an algorithmically independent
-cross-check of the dominant eigenvalue for tests.
+backward-stable and easy to make deterministic.  Each rotation works on
+whole rows in numpy; ``rayleigh_power_lambda1`` provides an
+algorithmically independent cross-check of the dominant eigenvalue for
+tests.
 """
 
 from __future__ import annotations
@@ -17,13 +17,6 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .graphs import Graph, bits, induced_subgraph, second_neighborhood
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +108,7 @@ def _offdiag_norm(a: np.ndarray) -> float:
     return math.sqrt(float(np.sum(sq)))
 
 
-def _jacobi_python(a: np.ndarray, off_target: float, max_sweeps: int):
+def _jacobi(a: np.ndarray, off_target: float, max_sweeps: int):
     n = a.shape[0]
     sweeps = 0
     off = _offdiag_norm(a)
@@ -150,53 +143,6 @@ def _jacobi_python(a: np.ndarray, off_target: float, max_sweeps: int):
     return off, sweeps
 
 
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _jacobi_numba(a, off_target, max_sweeps):  # pragma: no cover - jit
-        n = a.shape[0]
-        off = 0.0
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    off += a[i, j] * a[i, j]
-        off = math.sqrt(off)
-        sweeps = 0
-        while off > off_target and sweeps < max_sweeps:
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = a[p, q]
-                    if apq == 0.0:
-                        continue
-                    tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                    if tau >= 0.0:
-                        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                    else:
-                        t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                    c = 1.0 / math.sqrt(1.0 + t * t)
-                    s = t * c
-                    for i in range(n):
-                        if i != p and i != q:
-                            aip = a[i, p]
-                            aiq = a[i, q]
-                            a[i, p] = c * aip - s * aiq
-                            a[p, i] = a[i, p]
-                            a[i, q] = s * aip + c * aiq
-                            a[q, i] = a[i, q]
-                    a[p, p] -= t * apq
-                    a[q, q] += t * apq
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-            sweeps += 1
-            off = 0.0
-            for i in range(n):
-                for j in range(n):
-                    if i != j:
-                        off += a[i, j] * a[i, j]
-            off = math.sqrt(off)
-        return off, sweeps
-
-
 def spectrum(m: SymMatrix, tolerances: Tolerances = DEFAULT_TOLERANCES) -> SpectrumResult:
     """All eigenvalues of a symmetric matrix, non-increasing, via cyclic Jacobi.
 
@@ -209,10 +155,7 @@ def spectrum(m: SymMatrix, tolerances: Tolerances = DEFAULT_TOLERANCES) -> Spect
     off_target = tolerances.jacobi_off_factor * n
     if n == 1:
         return SpectrumResult((float(a[0, 0]),), 0.0, 0)
-    if _HAVE_NUMBA:
-        off, sweeps = _jacobi_numba(a, off_target, tolerances.jacobi_sweep_budget)
-    else:
-        off, sweeps = _jacobi_python(a, off_target, tolerances.jacobi_sweep_budget)
+    off, sweeps = _jacobi(a, off_target, tolerances.jacobi_sweep_budget)
     if off > off_target:
         raise RuntimeError(
             f"Jacobi failed to converge in {tolerances.jacobi_sweep_budget} sweeps "
@@ -315,6 +258,23 @@ def merris_bound(g: Graph) -> tuple[float, int]:
             best = value
             argmax = v
     return best, argmax
+
+
+def _degree_bound(g: Graph) -> float:
+    """The ``merris_bound`` value over the non-isolated vertices only, and
+    0 for an edgeless graph.
+
+    Isolated vertices add only zero eigenvalues, so the maximum over the
+    other vertices still bounds q1 from above.
+    """
+    deg = [row.bit_count() for row in g.adj]
+    best = 0.0
+    for v, d in enumerate(deg):
+        if d:
+            value = d + sum(deg[u] for u in bits(g.adj[v])) / d
+            if value > best:
+                best = value
+    return best
 
 
 def quotient(m: SymMatrix, p: VertexPartition) -> QuotientMatrix:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import sys
 import pytest
 
 import fanfree
+import fanfree.cli
 from fanfree.cli import main
 from fanfree.enumeration import EnumerationTask, enumerate_graphs
 from fanfree.graphs import graph6_encode, make_split
@@ -126,6 +128,29 @@ def test_certify_counterexample_protocol(capsys, tmp_path):
     assert cert["winner_is_split"] is False
 
 
+def test_certify_jobs_and_shards_flags(capsys, monkeypatch):
+    cert = fanfree.cli.certify_max_q1(5, 2)
+    seen = []
+
+    def fake(n, k, source, *, tolerances, shards, jobs):
+        seen.append((shards, jobs))
+        return cert
+
+    monkeypatch.setattr(fanfree.cli, "certify_max_q1", fake)
+    base = ["certify", "--n", "5", "--k", "2"]
+    for flags, want in [([], (None, 1)),
+                        (["--shards", "3"], (3, 1)),
+                        (["--jobs", "2"], (2, 2)),
+                        (["--jobs", "2", "--shards", "4"], (4, 2))]:
+        code, _, _ = run_cli(capsys, base + flags)
+        assert code == 0
+        assert seen.pop() == want, flags
+    for flags in (["--jobs", "0"], ["--shards", "0"]):
+        code, _, err = run_cli(capsys, base + flags)
+        assert code == 1 and "at least 1" in err
+    assert not seen
+
+
 def test_certify_tsv_matches_json(capsys):
     code, js, _ = run_cli(capsys, ["certify", "--n", "6", "--k", "2"])
     code2, tsv, _ = run_cli(capsys, ["certify", "--n", "6", "--k", "2",
@@ -196,6 +221,13 @@ def test_bad_flag_is_operational_error(capsys):
     assert code == 1
     code, _, err = run_cli(capsys, ["certify", "--n", "5"])  # missing --k
     assert code == 1
+
+
+def test_version_matches_pyproject():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
+        declared = re.search(r'^version = "([^"]+)"$', fh.read(), re.M).group(1)
+    assert fanfree.__version__ == declared
 
 
 def test_module_entry_point_runs():

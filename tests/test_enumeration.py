@@ -1,12 +1,15 @@
 """Isomorph-free generation, canonical forms, graph6 streaming."""
 
+import hashlib
 import io
+import itertools
 import random
 
 import pytest
 
+from fanfree.cli import main
 from fanfree.enumeration import (ENUMERATION_MAX_N, EnumerationTask,
-                                 _accepted_extensions_py, _is_canonical_py,
+                                 _identity_groups, _is_canonical,
                                  are_isomorphic, canonical_form,
                                  canonical_label, enumerate_graphs,
                                  stream_graph6, write_graph6)
@@ -20,6 +23,8 @@ from helpers import all_labeled_graphs, permuted, random_graph
 # oracle below, 7..9 pinned from standard enumeration tooling
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+# sha256 of the output of `fanfree enumerate --n 8`: pins emission order and bytes
+N8_SHA256 = "4fed1af583c626faf9e832a5ec677004651e18d7ee777a1a8be50b0cee9ba321"
 
 
 def test_counts_small():
@@ -125,21 +130,46 @@ def test_are_isomorphic():
     assert not are_isomorphic(c6, two_triangles)
 
 
-def test_python_and_jit_canonicity_agree():
-    # the pure-python fallback must mirror the compiled kernel bit for bit
-    import numpy as np
+def _colex_code(adj, n, order):
+    """Upper-triangle bit code of the relabelling placing ``order[j]`` at
+    position j, read column by column, first bit most significant."""
+    code = 0
+    for j in range(1, n):
+        for i in range(j):
+            code = (code << 1) | (adj[order[j]] >> order[i] & 1)
+    return code
 
-    from fanfree.enumeration import _HAVE_NUMBA, _accepted_extensions
 
-    for n in range(1, 5):
+def test_canonicity_kernel_matches_brute_force():
+    # canonical means no relabelling has a greater code: try all n! of them
+    for n in range(1, 6):
+        orders = list(itertools.permutations(range(n)))
         for g in all_labeled_graphs(n):
-            rows = list(g.adj)
-            assert _is_canonical_py(rows, n) == \
-                (graph6_encode(canonical_label(g)) == graph6_encode(g))
-    if _HAVE_NUMBA:
-        for g in enumerate_graphs(EnumerationTask(5)):
-            arr = np.array(g.adj, dtype=np.int64)
-            assert _accepted_extensions(arr, 5) == _accepted_extensions_py(arr, 5)
+            adj = list(g.adj)
+            identity = _colex_code(adj, n, range(n))
+            best = max(_colex_code(adj, n, order) for order in orders)
+            assert _is_canonical(adj, n, _identity_groups(adj, n)) == \
+                (identity == best), (n, adj)
+
+
+def test_canonicity_kernel_matches_canonical_label():
+    rng = random.Random(23)
+    for n in range(6, 9):
+        for _ in range(60):
+            g = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
+            for h in (g, canonical_label(g)):
+                adj = list(h.adj)
+                assert _is_canonical(adj, n, _identity_groups(adj, n)) == \
+                    (graph6_encode(canonical_label(h)) == graph6_encode(h))
+
+
+def test_enumerate_n8_output_pinned(tmp_path):
+    out = tmp_path / "n8.g6"
+    assert main(["enumerate", "--n", "8", "-o", str(out)]) == 0
+    data = out.read_bytes()
+    assert data.count(b"\n") == 12346
+    assert len(data) == 86422
+    assert hashlib.sha256(data).hexdigest() == N8_SHA256
 
 
 def test_stream_graph6_roundtrip():

@@ -7,6 +7,8 @@ import random
 
 import pytest
 
+from fanfree import search
+from fanfree.config import DEFAULT_TOLERANCES
 from fanfree.enumeration import EnumerationTask, canonical_form, enumerate_graphs
 from fanfree.fans import is_fan_free
 from fanfree.graphs import graph6_decode, make_split
@@ -65,6 +67,23 @@ def test_certify_shard_merge_determinism():
     a.pop("elapsed")
     b.pop("elapsed")
     assert a == b
+
+
+@pytest.fixture(scope="module")
+def classes_7_8():
+    return {n: list(enumerate_graphs(EnumerationTask(n))) for n in (7, 8)}
+
+
+@pytest.mark.parametrize("n,k", [(7, 2), (7, 3), (8, 2), (8, 3)])
+def test_bound_pruned_scan_matches_full_scan(classes_7_8, monkeypatch, n, k):
+    tol = DEFAULT_TOLERANCES
+    pruned, scanned, total = search._scan(classes_7_8[n], n, k, tol)
+    # an infinite bound never excludes anything: every survivor is solved
+    monkeypatch.setattr(search, "_degree_bound", lambda g: math.inf)
+    full, full_scanned, full_total = search._scan(classes_7_8[n], n, k, tol)
+    assert pruned.entries == full.entries
+    assert (scanned, total) == (full_scanned, full_total)
+    assert len(full.entries) >= 5
 
 
 def test_certify_rejects_bad_k():

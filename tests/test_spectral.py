@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanfree.config import DEFAULT_TOLERANCES, Tolerances
+from fanfree.enumeration import EnumerationTask, enumerate_graphs
 from fanfree.graphs import (complete_bipartite, complete_graph, cycle_graph,
                             disjoint_union, empty_graph, graph6_decode,
-                            make_split, path_graph)
+                            graph6_encode, make_split, path_graph)
 from fanfree.spectral import (QuotientMatrix, SymMatrix, VertexPartition,
+                              _degree_bound,
                               eq1_identity, merris_bound, perron_dominance, q1,
                               q1_split_closed_form, q1_split_lower_bound,
                               quotient, quotient_eigenvalues,
@@ -134,6 +136,21 @@ def test_merris_bound():
         assert q1(g) <= bound + 1e-9
     with pytest.raises(ValueError):
         merris_bound(disjoint_union(empty_graph(1), complete_graph(3)))
+
+
+def test_degree_bound_covers_every_small_class():
+    # every class up to order 7, isolated vertices and the edgeless graph
+    # included; where merris_bound is defined the two agree exactly
+    for n in range(1, 8):
+        for g in enumerate_graphs(EnumerationTask(n)):
+            bound = _degree_bound(g)
+            assert q1(g) <= bound + DEFAULT_TOLERANCES.eigen, graph6_encode(g)
+            if all(g.degree(v) for v in range(n)):
+                assert bound == merris_bound(g)[0]
+    assert _degree_bound(empty_graph(4)) == 0.0
+    isolated = disjoint_union(empty_graph(1), complete_graph(3))
+    assert _degree_bound(isolated) == 4.0
+    assert abs(q1(isolated) - 4.0) < 1e-9
 
 
 def test_merris_equality_cases():
