@@ -13,8 +13,9 @@ import argparse
 import json
 import logging
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
-from typing import Iterable, TextIO
+from typing import Iterable
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .enumeration import (EnumerationTask, canonical_form, enumerate_graphs,
@@ -22,9 +23,9 @@ from .enumeration import (EnumerationTask, canonical_form, enumerate_graphs,
 from .fans import contains_fan
 from .graphs import Graph, Graph6Error, graph6_encode, make_split
 from .matching import ForbiddenPattern, turan_kk2
-from .search import (certify_max_q1, certificate_payload, efgg_construction,
-                     efgg_in_regime, efgg_value, emit_certificate,
-                     turan_bruteforce)
+from .search import (_sig15, certify_max_q1, certificate_payload,
+                     efgg_construction, efgg_in_regime, efgg_value,
+                     emit_certificate, turan_bruteforce)
 from .spectral import (merris_bound, q1, q1_split_closed_form,
                        q1_split_lower_bound)
 
@@ -47,93 +48,64 @@ class _UsageError(Exception):
     pass
 
 
-def _sig(x: float) -> str:
-    return f"{x:.15g}"
-
-
-def _jsonable(x: float) -> float:
-    return float(f"{x:.15g}")
-
-
-def _open_input(path: str | None):
+@contextmanager
+def _opened(path: str | None, mode: str):
+    """The file at ``path``, or the standard stream for None or ``-``."""
     if path is None or path == "-":
-        return sys.stdin, False
-    return open(path, "r", encoding="ascii"), True
-
-
-def _open_output(path: str | None):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="ascii"), True
+        yield sys.stdin if mode == "r" else sys.stdout
+        return
+    with open(path, mode, encoding="ascii") as fh:
+        yield fh
 
 
 def _read_graphs(path: str | None, fail_fast: bool) -> Iterable[Graph]:
-    stream, owned = _open_input(path)
-    try:
+    with _opened(path, "r") as stream:
         yield from stream_graph6(stream, fail_fast=fail_fast)
-    finally:
-        if owned:
-            stream.close()
 
 
 def _tolerances(args: argparse.Namespace) -> Tolerances:
     tol = DEFAULT_TOLERANCES
-    if getattr(args, "tol_eigen", None) is not None:
+    if args.tol_eigen is not None:
         tol = replace(tol, eigen=args.tol_eigen)
-    if getattr(args, "tol_margin", None) is not None:
+    if args.tol_margin is not None:
         tol = replace(tol, margin=args.tol_margin)
     return tol
 
 
-def _emit_rows(sink: TextIO, fmt: str, rows: list[dict], columns: list[str]) -> None:
-    if fmt == "json":
-        json.dump(rows, sink, indent=2)
-        sink.write("\n")
-        return
-    for row in rows:
-        cells = []
-        for col in columns:
-            v = row[col]
-            if v is None:
-                cells.append("")
-            elif isinstance(v, bool):
-                cells.append("true" if v else "false")
-            elif isinstance(v, float):
-                cells.append(_sig(v))
-            else:
-                cells.append(str(v))
-        sink.write("\t".join(cells) + "\n")
-
-
-def _emit_record(sink: TextIO, fmt: str, payload: dict) -> None:
-    if fmt == "json":
-        json.dump(payload, sink, indent=2)
-        sink.write("\n")
-        return
-    for key, v in payload.items():
-        if isinstance(v, list):
-            parts = []
-            for item in v:
-                if isinstance(item, dict):
-                    parts.append(",".join(f"{ik}={_cell(iv)}" for ik, iv in item.items()))
-                else:
-                    parts.append(_cell(item))
-            text = ";".join(parts)
-        elif isinstance(v, dict):
-            text = ";".join(f"{ik}={_cell(iv)}" for ik, iv in v.items())
-        else:
-            text = _cell(v)
-        sink.write(f"{key}\t{text}\n")
-
-
-def _cell(v) -> str:
+def _cell(v, sep: str = ",") -> str:
+    """One TSV cell: None is empty, booleans are lower case, reals have 15
+    significant digits, list items join with ';' and dict entries are
+    key=value pairs joined with ``sep``."""
     if v is None:
         return ""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return _sig(v)
+        return f"{v:.15g}"
+    if isinstance(v, list):
+        return ";".join(_cell(item) for item in v)
+    if isinstance(v, dict):
+        return sep.join(f"{key}={_cell(item)}" for key, item in v.items())
     return str(v)
+
+
+def _write(args: argparse.Namespace, payload, columns: list[str] | None = None) -> None:
+    """Write ``payload`` to ``--output`` in ``--format``.
+
+    JSON dumps the payload itself.  TSV gives one line per row over
+    ``columns`` when the payload is a list of rows, else one key/value
+    line per entry of the payload dict.
+    """
+    with _opened(args.output, "w") as sink:
+        if args.format == "json":
+            json.dump(payload, sink, indent=2)
+            sink.write("\n")
+        elif columns is not None:
+            for row in payload:
+                sink.write("\t".join(_cell(row[col]) for col in columns) + "\n")
+        else:
+            for key, v in payload.items():
+                sink.write(f"{key}\t{_cell(v, ';')}\n")
 
 
 def _split_parameter(g: Graph) -> int | None:
@@ -157,17 +129,10 @@ def _split_parameter(g: Graph) -> int | None:
 
 
 def _cmd_q1(args) -> int:
-    tol = _tolerances(args)
-    rows = []
-    for g in _read_graphs(args.input, args.fail_fast):
-        rows.append({"graph6": graph6_encode(g), "n": g.n, "e": g.edge_count(),
-                     "q1": _jsonable(q1(g, tolerances=tol))})
-    sink, owned = _open_output(args.output)
-    try:
-        _emit_rows(sink, args.format, rows, ["graph6", "n", "e", "q1"])
-    finally:
-        if owned:
-            sink.close()
+    rows = [{"graph6": graph6_encode(g), "n": g.n, "e": g.edge_count(),
+             "q1": _sig15(q1(g))}
+            for g in _read_graphs(args.input, args.fail_fast)]
+    _write(args, rows, ["graph6", "n", "e", "q1"])
     return EXIT_OK
 
 
@@ -178,12 +143,7 @@ def _cmd_fan_free(args) -> int:
         rows.append({"graph6": graph6_encode(g),
                      "fan_free": witness is None,
                      "center": None if witness is None else witness.center})
-    sink, owned = _open_output(args.output)
-    try:
-        _emit_rows(sink, args.format, rows, ["graph6", "fan_free", "center"])
-    finally:
-        if owned:
-            sink.close()
+    _write(args, rows, ["graph6", "fan_free", "center"])
     return EXIT_OK
 
 
@@ -191,6 +151,9 @@ def _cmd_certify(args) -> int:
     tol = _tolerances(args)
     if args.jobs < 1 or (args.shards is not None and args.shards < 1):
         raise _UsageError("--jobs and --shards must be at least 1")
+    if args.input is not None and (args.shards is not None or args.jobs > 1):
+        raise _UsageError("--input cannot be combined with --shards or "
+                          "--jobs above 1: a stream is scanned in one process")
     shards = args.shards
     if shards is None and args.jobs > 1:
         shards = args.jobs
@@ -201,15 +164,11 @@ def _cmd_certify(args) -> int:
                           shards=shards, jobs=args.jobs)
     logger.info("certify n=%d k=%d: scanned %d fan-free of %d classes in %.2fs",
                 cert.n, cert.k, cert.scanned, cert.total, cert.elapsed)
-    sink, owned = _open_output(args.output)
-    try:
-        if args.format == "json":
+    if args.format == "json":
+        with _opened(args.output, "w") as sink:
             emit_certificate(cert, sink)
-        else:
-            _emit_record(sink, "tsv", certificate_payload(cert))
-    finally:
-        if owned:
-            sink.close()
+    else:
+        _write(args, certificate_payload(cert))
     if cert.in_theorem_regime and not cert.winner_is_split:
         logger.warning("counterexample: winner %s is not the complete split graph",
                        cert.winner)
@@ -218,25 +177,18 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    shard = None
-    if args.shard_index is not None:
-        if args.shards is None:
-            raise _UsageError("--shard-index requires --shards")
-        shard = (args.shard_index, args.shards)
+    if (args.shards is None) != (args.shard_index is None):
+        raise _UsageError("--shards and --shard-index must be given together")
+    shard = None if args.shards is None else (args.shard_index, args.shards)
     task = EnumerationTask(args.n, connected_only=args.connected_only, shard=shard)
-    sink, owned = _open_output(args.output)
-    try:
-        if args.format == "json":
-            graphs = [graph6_encode(g) for g in enumerate_graphs(task)]
-            json.dump({"n": args.n, "connected_only": args.connected_only,
-                       "count": len(graphs), "graphs": graphs}, sink, indent=2)
-            sink.write("\n")
-        else:
+    if args.format == "json":
+        graphs = [graph6_encode(g) for g in enumerate_graphs(task)]
+        _write(args, {"n": args.n, "connected_only": args.connected_only,
+                      "count": len(graphs), "graphs": graphs})
+    else:
+        with _opened(args.output, "w") as sink:
             count = write_graph6(sink, enumerate_graphs(task))
-            logger.info("enumerated %d graphs of order %d", count, args.n)
-    finally:
-        if owned:
-            sink.close()
+        logger.info("enumerated %d graphs of order %d", count, args.n)
     return EXIT_OK
 
 
@@ -245,63 +197,48 @@ def _cmd_turan(args) -> int:
     source = None
     if args.input is not None:
         source = list(_read_graphs(args.input, args.fail_fast))
-    record = turan_bruteforce(args.n, pattern, source)
-    payload = certificate_payload(record)
+    payload = certificate_payload(turan_bruteforce(args.n, pattern, source))
     if pattern.kind == "kk2":
         payload["formula_value"] = turan_kk2(args.n, args.k)[0]
     else:
         payload["formula_value"] = efgg_value(args.n, args.k)
         payload["formula_guaranteed"] = efgg_in_regime(args.n, args.k)
-    sink, owned = _open_output(args.output)
-    try:
-        _emit_record(sink, args.format, payload)
-    finally:
-        if owned:
-            sink.close()
+    _write(args, payload)
     return EXIT_OK
 
 
 def _cmd_bounds(args) -> int:
-    tol = _tolerances(args)
     rows = []
     for g in _read_graphs(args.input, args.fail_fast):
-        value = q1(g, tolerances=tol)
-        bound, vertex = merris_bound(g)
+        # the degree bound averages over neighbours, so it is undefined
+        # when some vertex has none
+        merris = vertex = None
+        if all(g.adj):
+            bound, vertex = merris_bound(g)
+            merris = _sig15(bound)
         k = _split_parameter(g)
         closed = lower = None
         if k is not None:
-            closed = _jsonable(q1_split_closed_form(g.n, k))
+            closed = _sig15(q1_split_closed_form(g.n, k))
             if g.n >= 2 * k * k - 4 * k + 3:
-                lower = _jsonable(q1_split_lower_bound(g.n, k))
+                lower = _sig15(q1_split_lower_bound(g.n, k))
         rows.append({"graph6": graph6_encode(g), "n": g.n, "e": g.edge_count(),
-                     "q1": _jsonable(value), "merris": _jsonable(bound),
+                     "q1": _sig15(q1(g)), "merris": merris,
                      "merris_vertex": vertex, "split_k": k,
                      "split_closed_form": closed, "split_lower_bound": lower})
-    sink, owned = _open_output(args.output)
-    try:
-        _emit_rows(sink, args.format, rows,
-                   ["graph6", "n", "e", "q1", "merris", "merris_vertex",
-                    "split_k", "split_closed_form", "split_lower_bound"])
-    finally:
-        if owned:
-            sink.close()
+    _write(args, rows, ["graph6", "n", "e", "q1", "merris", "merris_vertex",
+                        "split_k", "split_closed_form", "split_lower_bound"])
     return EXIT_OK
 
 
 def _cmd_construct(args) -> int:
     g, spec = efgg_construction(args.n, args.k)
-    payload = {"graph6": graph6_encode(g), "n": spec.n, "k": spec.k,
-               "edges": g.edge_count(), "parity": spec.parity,
-               "embedded": spec.embedded,
-               "embedded_vertex_count": spec.embedded_vertex_count,
-               "embedded_edge_count": spec.embedded_edge_count,
-               "embedded_max_degree": spec.embedded_max_degree}
-    sink, owned = _open_output(args.output)
-    try:
-        _emit_record(sink, args.format, payload)
-    finally:
-        if owned:
-            sink.close()
+    _write(args, {"graph6": graph6_encode(g), "n": spec.n, "k": spec.k,
+                  "edges": g.edge_count(), "parity": spec.parity,
+                  "embedded": spec.embedded,
+                  "embedded_vertex_count": spec.embedded_vertex_count,
+                  "embedded_edge_count": spec.embedded_edge_count,
+                  "embedded_max_degree": spec.embedded_max_degree})
     return EXIT_OK
 
 
@@ -320,11 +257,6 @@ def _add_io(p: _Parser, *, with_input: bool = True) -> None:
                    help="output format")
 
 
-def _add_tol(p: _Parser) -> None:
-    p.add_argument("--tol-eigen", type=float, help="eigenvalue accuracy target")
-    p.add_argument("--tol-margin", type=float, help="equality margin for ties")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="fanfree",
                      description="Spectral extremal toolkit for fan-free graphs")
@@ -338,7 +270,6 @@ def build_parser() -> _Parser:
                        "radius per input graph")
     registry.append(p)
     _add_io(p)
-    _add_tol(p)
     p.set_defaults(run=_cmd_q1, default_format="tsv")
 
     p = sub.add_parser("fan-free", help="fan containment per input graph")
@@ -357,8 +288,9 @@ def build_parser() -> _Parser:
                         "(default: one per job)")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes that scan the shards (default 1)")
+    p.add_argument("--tol-eigen", type=float, help="eigenvalue accuracy target")
+    p.add_argument("--tol-margin", type=float, help="equality margin for ties")
     _add_io(p)
-    _add_tol(p)
     p.set_defaults(run=_cmd_certify, default_format="json",
                    required_flags=("n", "k"))
 
@@ -387,7 +319,6 @@ def build_parser() -> _Parser:
                        "bound, and split-graph closed forms")
     registry.append(p)
     _add_io(p)
-    _add_tol(p)
     p.set_defaults(run=_cmd_bounds, default_format="tsv")
 
     p = sub.add_parser("construct", help="edge-maximal fan-free construction")

@@ -67,7 +67,7 @@ class EnumerationTask:
 # identity's group value at the first differing level.
 
 
-def _twin_classes_py(adj: tuple[int, ...] | list[int], n: int) -> list[int]:
+def _twin_classes(adj: tuple[int, ...] | list[int], n: int) -> list[int]:
     """Vertex classes whose transpositions are automorphisms (union-find)."""
     parent = list(range(n))
 
@@ -109,7 +109,7 @@ def _is_canonical(adj, n: int, t: list[int]) -> bool:
     """
     if n <= 1:
         return True
-    cls = _twin_classes_py(adj, n)
+    cls = _twin_classes(adj, n)
     members = [0] * n
     for v in range(n):
         members[cls[v]] |= 1 << v
@@ -191,19 +191,6 @@ def _reverse_bits(s: int, m: int) -> int:
     return out
 
 
-def _connected_rows(rows: list[int], n: int) -> bool:
-    seen = 1
-    frontier = 1
-    while frontier:
-        reach = 0
-        for v in range(n):
-            if frontier >> v & 1:
-                reach |= rows[v]
-        frontier = reach & ~seen
-        seen |= reach
-    return seen == (1 << n) - 1
-
-
 # -- canonical form ----------------------------------------------------
 
 
@@ -215,7 +202,7 @@ def _canonical_order(adj, n: int) -> list[int]:
     value are expanded, and twin classes collapse interchangeable
     branches.
     """
-    cls = _twin_classes_py(adj, n)
+    cls = _twin_classes(adj, n)
     best = [-1] * (n + 1)
     best_order: list[int] | None = None
 
@@ -310,9 +297,9 @@ def enumerate_graphs(task: EnumerationTask) -> Iterator[Graph]:
             yield from walk(child, child_t)
 
     for rows in walk([0], [0]):
-        if task.connected_only and not _connected_rows(rows, n):
-            continue
-        yield Graph._from_trusted(n, tuple(rows))
+        g = Graph._from_trusted(n, tuple(rows))
+        if not task.connected_only or g.is_connected():
+            yield g
 
 
 # -- graph6 streaming --------------------------------------------------

@@ -72,14 +72,12 @@ def is_fan_free(g: Graph, k: int) -> bool:
     return True
 
 
-def common_neighbor_check(g: Graph, k: int | None = None) -> bool:
+def common_neighbor_check(g: Graph) -> bool:
     """True iff every non-adjacent pair of vertices shares a neighbour.
 
     On connected input this is the same as diameter at most 2, and it
     means each vertex's closed neighbourhood plus second neighbourhood
-    covers the whole vertex set.  ``k`` is accepted for call symmetry
-    with the other saturation helpers; the property itself does not
-    depend on it.
+    covers the whole vertex set.
     """
     for u in range(g.n):
         for v in range(u + 1, g.n):

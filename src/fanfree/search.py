@@ -17,7 +17,7 @@ import json
 import time
 from dataclasses import dataclass, replace
 from operator import itemgetter
-from typing import Iterable, TextIO, Union
+from typing import Iterable, TextIO
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .enumeration import EnumerationTask, canonical_form, enumerate_graphs
@@ -27,8 +27,6 @@ from .graphs import (Graph, complete_bipartite, graph6_decode, graph6_encode,
 from .matching import ForbiddenPattern, Regime, TuranRecord, is_kk2_free, turan_kk2
 from .spectral import (_degree_bound, q1, rayleigh_power_lambda1,
                        signless_laplacian, spectrum)
-
-Source = Union[EnumerationTask, Iterable[Graph], None]
 
 
 @dataclass(frozen=True)
@@ -126,8 +124,8 @@ class _TopList:
         self.entries.append((value, make_text()))
         self._trim()
 
-    def merge(self, other: "_TopList") -> None:
-        self.entries.extend(other.entries)
+    def merge(self, entries: list[tuple[float, str]]) -> None:
+        self.entries.extend(entries)
         self._trim()
 
     def _trim(self) -> None:
@@ -177,16 +175,16 @@ def _tight_q1(g: Graph, tol: Tolerances) -> float:
     return spectrum(signless_laplacian(g), tolerances=tight).eigenvalues[0]
 
 
-def certify_max_q1(n: int, k: int, source: Source = None, *,
+def certify_max_q1(n: int, k: int, source: Iterable[Graph] | None = None, *,
                    tolerances: Tolerances | None = None,
                    shards: int | None = None,
                    jobs: int = 1) -> SearchCertificate:
     """Scan every isomorphism class of order ``n``, keep the fan-free
     ones, and certify the signless-Laplacian spectral-radius maximiser.
 
-    ``source`` may be an EnumerationTask, an iterable of graphs (for
-    example a decoded graph6 stream), or None for the default exhaustive
-    run; ``shards`` splits the default run over enumeration shards,
+    ``source`` may be an iterable of graphs of order ``n`` (for example
+    a decoded graph6 stream), or None for the default exhaustive run over
+    every class; ``shards`` splits the default run over enumeration shards,
     scanned by ``jobs`` worker processes (serially when ``jobs`` is 1),
     with a deterministic merge, so the certificate is identical to the
     unsharded one apart from ``elapsed``.
@@ -209,21 +207,13 @@ def certify_max_q1(n: int, k: int, source: Source = None, *,
         scanned = 0
         total = 0
         for entries, part_scanned, part_total in parts:
-            piece = _TopList(tol.margin)
-            piece.entries = list(entries)
-            top.merge(piece)
+            top.merge(entries)
             scanned += part_scanned
             total += part_total
     else:
         if source is None:
-            source = EnumerationTask(n)
-        if isinstance(source, EnumerationTask):
-            if source.n != n:
-                raise ValueError("enumeration task order differs from n")
-            graphs: Iterable[Graph] = enumerate_graphs(source)
-        else:
-            graphs = source
-        top, scanned, total = _scan(graphs, n, k, tol)
+            source = enumerate_graphs(EnumerationTask(n))
+        top, scanned, total = _scan(source, n, k, tol)
 
     if not top.entries:
         raise RuntimeError("empty survivor set: the edgeless graph is always "
@@ -275,21 +265,16 @@ def certify_max_q1(n: int, k: int, source: Source = None, *,
 
 
 def turan_bruteforce(n: int, pattern: ForbiddenPattern,
-                     source: Source = None) -> TuranRecord:
+                     source: Iterable[Graph] | None = None) -> TuranRecord:
     """Exact pattern-free edge maximum with every extremal class listed.
 
-    For kK2 patterns the result carries the clique/split regime from the
-    closed formula; fan patterns have no such trichotomy and get None.
+    ``source`` may be an iterable of graphs of order ``n``, or None for
+    every class of that order.  For kK2 patterns the result carries the
+    clique/split regime from the closed formula; fan patterns have no
+    such trichotomy and get None.
     """
     if source is None:
-        source = EnumerationTask(n)
-    if isinstance(source, EnumerationTask):
-        if source.n != n:
-            raise ValueError("enumeration task order differs from n")
-        graphs: Iterable[Graph] = enumerate_graphs(source)
-    else:
-        graphs = source
-
+        source = enumerate_graphs(EnumerationTask(n))
     if pattern.kind == "kk2":
         free = lambda g: is_kk2_free(g, pattern.k)
     else:
@@ -297,7 +282,7 @@ def turan_bruteforce(n: int, pattern: ForbiddenPattern,
 
     best = -1
     extremal: list[str] = []
-    for g in graphs:
+    for g in source:
         if g.n != n:
             raise ValueError(f"source produced a graph of order {g.n}, expected {n}")
         e = g.edge_count()

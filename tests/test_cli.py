@@ -98,6 +98,8 @@ def test_enumerate_shard_flags(capsys):
     assert len(total) == 156 and len(set(total)) == 156
     code, _, err = run_cli(capsys, ["enumerate", "--n", "6", "--shard-index", "1"])
     assert code == 1 and "--shards" in err
+    code, out, err = run_cli(capsys, ["enumerate", "--n", "6", "--shards", "3"])
+    assert code == 1 and "--shard-index" in err and out == ""
 
 
 def test_certify_exit_codes_and_output(capsys):
@@ -128,7 +130,7 @@ def test_certify_counterexample_protocol(capsys, tmp_path):
     assert cert["winner_is_split"] is False
 
 
-def test_certify_jobs_and_shards_flags(capsys, monkeypatch):
+def test_certify_jobs_and_shards_flags(capsys, monkeypatch, tmp_path):
     cert = fanfree.cli.certify_max_q1(5, 2)
     seen = []
 
@@ -148,6 +150,13 @@ def test_certify_jobs_and_shards_flags(capsys, monkeypatch):
     for flags in (["--jobs", "0"], ["--shards", "0"]):
         code, _, err = run_cli(capsys, base + flags)
         assert code == 1 and "at least 1" in err
+    path = tmp_path / "in.g6"
+    path.write_text("D??\n")
+    code, _, _ = run_cli(capsys, base + ["--input", str(path), "--jobs", "1"])
+    assert code == 0 and seen.pop() == (None, 1)
+    for flags in (["--shards", "1"], ["--shards", "2"], ["--jobs", "2"]):
+        code, _, err = run_cli(capsys, base + ["--input", str(path)] + flags)
+        assert code == 1 and "--input" in err and flags[0] in err, flags
     assert not seen
 
 
@@ -191,6 +200,17 @@ def test_bounds_subcommand(capsys, monkeypatch):
     assert cells[6] == "2"  # recognised as S_{10,2}
     assert abs(float(cells[7]) - 11.6568542494924) < 1e-10
     assert float(cells[8]) <= float(cells[7])
+    # an isolated vertex leaves the degree bound undefined, not the run
+    code, out, _ = run_cli(capsys, ["bounds"], stdin="C?\nDhc\n",
+                           monkeypatch=monkeypatch)
+    assert code == 0
+    assert out.splitlines() == ["C?\t4\t0\t0\t\t\t\t\t", "Dhc\t5\t5\t4\t4\t0\t\t\t"]
+    code, out, _ = run_cli(capsys, ["bounds", "--format", "json"],
+                           stdin="C?\nDhc\n", monkeypatch=monkeypatch)
+    rows = json.loads(out)
+    assert rows[0]["q1"] == 0 and rows[0]["merris"] is None
+    assert rows[0]["merris_vertex"] is None
+    assert rows[1]["merris"] == 4 and rows[1]["merris_vertex"] == 0
 
 
 def test_construct_subcommand(capsys):
@@ -219,6 +239,10 @@ def test_config_file_defaults_and_flag_priority(capsys, tmp_path):
 def test_bad_flag_is_operational_error(capsys):
     code, _, err = run_cli(capsys, ["q1", "--no-such-flag"])
     assert code == 1
+    # the tolerance flags belong to certify; q1 and bounds read none of them
+    for command in ("q1", "bounds"):
+        code, _, err = run_cli(capsys, [command, "--tol-eigen", "1"])
+        assert code == 1 and "--tol-eigen" in err
     code, _, err = run_cli(capsys, ["certify", "--n", "5"])  # missing --k
     assert code == 1
 

@@ -97,7 +97,6 @@ def test_common_neighbor_check():
     assert not common_neighbor_check(path_graph(4))
     assert not common_neighbor_check(empty_graph(3))
     assert common_neighbor_check(complete_graph(4))
-    assert common_neighbor_check(cycle_graph(5), 2)  # k accepted, unused
 
 
 def test_saturation():
