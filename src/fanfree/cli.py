@@ -263,24 +263,20 @@ def build_parser() -> _Parser:
     parser.add_argument("--config", help="JSON file of flag defaults; "
                                          "explicit flags win")
     sub = parser.add_subparsers(dest="command", required=True)
-    registry: list[_Parser] = [parser]
-    parser.subcommand_parsers = registry
+    parser.commands = sub.choices
 
     p = sub.add_parser("q1", help="signless-Laplacian spectral "
                        "radius per input graph")
-    registry.append(p)
     _add_io(p)
     p.set_defaults(run=_cmd_q1, default_format="tsv")
 
     p = sub.add_parser("fan-free", help="fan containment per input graph")
-    registry.append(p)
     p.add_argument("--k", type=int, help="fan parameter")
     _add_io(p)
     p.set_defaults(run=_cmd_fan_free, default_format="tsv", required_flags=("k",))
 
     p = sub.add_parser("certify", help="exhaustively certify the spectral "
                        "maximiser among fan-free graphs")
-    registry.append(p)
     p.add_argument("--n", type=int, help="graph order")
     p.add_argument("--k", type=int, help="fan parameter")
     p.add_argument("--shards", type=int, default=None,
@@ -296,7 +292,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("enumerate", help="stream one representative per "
                        "isomorphism class")
-    registry.append(p)
     p.add_argument("--n", type=int, help="graph order")
     p.add_argument("--connected-only", action="store_true")
     p.add_argument("--shards", type=int, default=None)
@@ -307,7 +302,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("turan", help="brute-force pattern-free edge maximum "
                        "with formula cross-check")
-    registry.append(p)
     p.add_argument("--n", type=int, help="graph order")
     p.add_argument("--pattern", choices=("kk2", "fan"))
     p.add_argument("--k", type=int)
@@ -317,12 +311,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bounds", help="per-graph spectral radius, degree "
                        "bound, and split-graph closed forms")
-    registry.append(p)
     _add_io(p)
     p.set_defaults(run=_cmd_bounds, default_format="tsv")
 
     p = sub.add_parser("construct", help="edge-maximal fan-free construction")
-    registry.append(p)
     p.add_argument("--n", type=int, help="graph order")
     p.add_argument("--k", type=int)
     _add_io(p, with_input=False)
@@ -332,21 +324,21 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _apply_config(parser: _Parser, argv: list[str]) -> None:
-    if "--config" not in argv:
-        return
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise _UsageError("--config needs a file argument")
-    with open(argv[idx + 1], "r", encoding="utf-8") as fh:
+def _apply_config(parser: _Parser, args: argparse.Namespace) -> None:
+    """Make the config file's entries defaults of the chosen subcommand;
+    an entry that is not one of its long flags is an error."""
+    with open(args.config, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise _UsageError("config file must hold a JSON object")
+    command = parser.commands[args.command]
     defaults = {str(k).replace("-", "_"): v for k, v in data.items()}
-    # defaults must land on every subparser: a subparser re-applies its
-    # own defaults over anything set on the top-level namespace
-    for p in parser.subcommand_parsers:
-        p.set_defaults(**defaults)
+    unknown = sorted(key for key in defaults if "--" + key.replace("_", "-")
+                     not in command._option_string_actions)
+    if unknown:
+        raise _UsageError(f"config keys not taken by {args.command}: "
+                          + ", ".join(unknown))
+    command.set_defaults(**defaults)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -355,8 +347,10 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        _apply_config(parser, argv)
         args = parser.parse_args(argv)
+        if args.config is not None:
+            _apply_config(parser, args)
+            args = parser.parse_args(argv)
         for name in getattr(args, "required_flags", ()):
             if getattr(args, name, None) is None:
                 raise _UsageError(f"--{name.replace('_', '-')} is required")

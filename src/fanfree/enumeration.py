@@ -9,11 +9,13 @@ neighbour subsets, and keeping exactly the extensions whose identity
 labelling is canonical, enumerates every isomorphism class once with no
 global dedup table.
 
-The canonicity test is a depth-first search for a lexicographically
-greater relabelling over candidate bitmasks, pruned by
-interchangeable-vertex (twin) classes.  Each parent first rejects the
-extensions that already lose on the identity labelling, which is most
-of them, before any search runs.
+One search serves both the canonicity test and the canonical form: a
+depth-first search for a lexicographically greater relabelling over
+candidate bitmasks, pruned by interchangeable-vertex (twin) classes.
+The canonicity test asks whether it finds none; the canonical form
+relabels by each greater order it finds until it finds none.  Each
+parent first rejects the extensions that already lose on the identity
+labelling, which is most of them, before any search runs.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ class EnumerationTask:
                 raise ValueError(f"invalid shard {self.shard}")
 
 
-# -- canonicity test ---------------------------------------------------
+# -- vertex-order search ----------------------------------------------
 #
 # Group value of vertex order (v_0, ..., v_{j-1}) at level j: the j bits
 # of adjacency between the level-j candidate and the placed vertices,
@@ -67,24 +69,19 @@ class EnumerationTask:
 # identity's group value at the first differing level.
 
 
-def _twin_classes(adj: tuple[int, ...] | list[int], n: int) -> list[int]:
-    """Vertex classes whose transpositions are automorphisms (union-find)."""
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u in range(n):
-        for w in range(u + 1, n):
-            m = (1 << u) | (1 << w)
-            if (adj[u] & ~m) == (adj[w] & ~m):
-                ru, rw = find(u), find(w)
-                if ru != rw:
-                    parent[rw] = ru
-    return [find(v) for v in range(n)]
+def _twins(adj, n: int) -> list[int]:
+    """Per vertex, the mask of vertices whose transposition with it is an
+    automorphism: non-adjacent vertices with equal open neighbourhoods, or
+    adjacent ones with equal closed neighbourhoods.  Each relation is an
+    equivalence and no vertex has twins of both kinds, so the mask is the
+    union of the vertex's two classes."""
+    open_nb: dict[int, int] = {}
+    closed_nb: dict[int, int] = {}
+    for v in range(n):
+        open_nb[adj[v]] = open_nb.get(adj[v], 0) | 1 << v
+        closed = adj[v] | 1 << v
+        closed_nb[closed] = closed_nb.get(closed, 0) | 1 << v
+    return [open_nb[adj[v]] | closed_nb[adj[v] | 1 << v] for v in range(n)]
 
 
 def _identity_groups(adj, n: int) -> list[int]:
@@ -98,22 +95,21 @@ def _identity_groups(adj, n: int) -> list[int]:
     return groups
 
 
-def _is_canonical(adj, n: int, t: list[int]) -> bool:
-    """Whether the identity labelling of ``adj`` is canonical.
+def _greater_order(adj, n: int, t: list[int]) -> list[int] | None:
+    """A vertex order whose code beats the identity's, or None when the
+    identity labelling of ``adj`` is canonical.
 
     ``t`` holds the identity's group values.  The search places vertices
     level by level; the candidates for the next level are the unplaced
     vertices whose group value equals the identity's, kept as a bitmask,
     and any unplaced vertex whose group value exceeds it proves a greater
-    relabelling.  Candidates are taken lowest first, one per twin class.
+    relabelling: the placed vertices, that vertex, then the rest in
+    ascending order.  Candidates are taken lowest first, one per twin
+    class.
     """
     if n <= 1:
-        return True
-    cls = _twin_classes(adj, n)
-    members = [0] * n
-    for v in range(n):
-        members[cls[v]] |= 1 << v
-    twins = [members[cls[v]] for v in range(n)]
+        return None
+    twins = _twins(adj, n)
     full = (1 << n) - 1
     chosen = [0] * n
     placed_adj = [0] * n  # adjacency of the vertex placed at each position
@@ -126,7 +122,7 @@ def _is_canonical(adj, n: int, t: list[int]) -> bool:
         if not c:
             level -= 1
             if level < 0:
-                return True
+                return None
             placed &= ~(1 << chosen[level])
             continue
         u = (c & -c).bit_length() - 1
@@ -145,7 +141,10 @@ def _is_canonical(adj, n: int, t: list[int]) -> bool:
             if tl & bit:
                 eq &= a
             elif eq & a:
-                return False
+                w = (eq & a & -(eq & a)).bit_length() - 1
+                placed |= 1 << w
+                return chosen[:level] + [w] + [
+                    v for v in range(n) if not placed >> v & 1]
         if level == n - 1:
             # the last vertex is forced: a complete equal relabelling,
             # which is an automorphism
@@ -179,7 +178,7 @@ def _children(rows: list[int], t: list[int]) -> Iterator[tuple[list[int], list[i
             child = [rows[i] | ((s >> i & 1) << m) for i in range(m)]
             child.append(s)
             child_t = t + [g]
-            if _is_canonical(child, m + 1, child_t):
+            if _greater_order(child, m + 1, child_t) is None:
                 yield child, child_t
             g += 1
 
@@ -194,49 +193,6 @@ def _reverse_bits(s: int, m: int) -> int:
 # -- canonical form ----------------------------------------------------
 
 
-def _canonical_order(adj, n: int) -> list[int]:
-    """Vertex order whose colex code is the lexicographic maximum.
-
-    Depth-first branch and bound: every explored node at a given level
-    shares the same prefix code, only candidates attaining the best group
-    value are expanded, and twin classes collapse interchangeable
-    branches.
-    """
-    cls = _twin_classes(adj, n)
-    best = [-1] * (n + 1)
-    best_order: list[int] | None = None
-
-    def rec(order: list[int], used: int, gvals: list[int]) -> None:
-        nonlocal best_order
-        j = len(order)
-        if j == n:
-            if best_order is None:
-                best_order = order.copy()
-            return
-        m = -1
-        for u in range(n):
-            if not used >> u & 1 and gvals[u] > m:
-                m = gvals[u]
-        if m < best[j]:
-            return
-        if m > best[j]:
-            best[j] = m
-            for i in range(j + 1, n):
-                best[i] = -1
-            best_order = None
-        seen_cls = 0
-        for u in range(n):
-            if used >> u & 1 or gvals[u] != m or seen_cls >> cls[u] & 1:
-                continue
-            seen_cls |= 1 << cls[u]
-            nxt = [(gvals[w] << 1) | (adj[w] >> u & 1) for w in range(n)]
-            rec(order + [u], used | 1 << u, nxt)
-
-    rec([], 0, [0] * n)
-    assert best_order is not None
-    return best_order
-
-
 def _relabel(g: Graph, order: list[int]) -> Graph:
     pos = {old: new for new, old in enumerate(order)}
     rows = [0] * g.n
@@ -248,10 +204,16 @@ def _relabel(g: Graph, order: list[int]) -> Graph:
 
 
 def canonical_label(g: Graph) -> Graph:
-    """Relabelled copy in canonical vertex order."""
-    if g.n == 1:
-        return g
-    return _relabel(g, _canonical_order(g.adj, g.n))
+    """Relabelled copy in canonical vertex order.
+
+    Each step relabels by an order whose code is strictly greater, so the
+    climb ends, and it ends at the unique labelling with the greatest code.
+    """
+    while True:
+        order = _greater_order(g.adj, g.n, _identity_groups(g.adj, g.n))
+        if order is None:
+            return g
+        g = _relabel(g, order)
 
 
 def canonical_form(g: Graph) -> CanonicalForm:

@@ -187,10 +187,15 @@ def certify_max_q1(n: int, k: int, source: Iterable[Graph] | None = None, *,
     every class; ``shards`` splits the default run over enumeration shards,
     scanned by ``jobs`` worker processes (serially when ``jobs`` is 1),
     with a deterministic merge, so the certificate is identical to the
-    unsharded one apart from ``elapsed``.
+    unsharded one apart from ``elapsed``.  A ``source`` is scanned in one
+    process, so it cannot be combined with ``shards`` or with ``jobs``
+    other than 1.
     """
     if k < 1:
         raise ValueError("k must be positive")
+    if source is not None and (shards is not None or jobs != 1):
+        raise ValueError("a graph source cannot be combined with shards or "
+                         "jobs: a stream is scanned in one process")
     tol = tolerances if tolerances is not None else DEFAULT_TOLERANCES
     t0 = time.perf_counter()
 

@@ -234,6 +234,11 @@ def test_config_file_defaults_and_flag_priority(capsys, tmp_path):
                                     "--n", "3", "--format", "tsv"])
     assert code == 0
     assert len(out.splitlines()) == 4
+    # a key the chosen command does not take is an error that names it
+    cfg.write_text(json.dumps({"tol_eigen": 0.5, "shardz": 3}))
+    code, out, err = run_cli(capsys, ["--config", str(cfg), "q1"])
+    assert code == 1 and out == ""
+    assert "shardz" in err and "tol_eigen" in err
 
 
 def test_bad_flag_is_operational_error(capsys):

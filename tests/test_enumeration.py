@@ -9,13 +9,13 @@ import pytest
 
 from fanfree.cli import main
 from fanfree.enumeration import (ENUMERATION_MAX_N, EnumerationTask,
-                                 _identity_groups, _is_canonical,
+                                 _greater_order, _identity_groups, _twins,
                                  are_isomorphic, canonical_form,
                                  canonical_label, enumerate_graphs,
                                  stream_graph6, write_graph6)
-from fanfree.graphs import (Graph, Graph6Error, complete_bipartite,
-                            complete_graph, cycle_graph, graph6_encode,
-                            make_fan, make_split, path_graph)
+from fanfree.graphs import (Graph, Graph6Error, circulant_graph,
+                            complete_bipartite, complete_graph, cycle_graph,
+                            graph6_encode, make_fan, make_split, path_graph)
 
 from helpers import all_labeled_graphs, permuted, random_graph
 
@@ -117,6 +117,11 @@ def test_canonical_form_large_order():
     g = make_split(64, 7)
     h = permuted(g, list(reversed(range(64))))
     assert canonical_form(g) == canonical_form(h)
+    # vertex-transitive and twin-free, so twin pruning cannot shorten the climb
+    g = circulant_graph(64, [1, 5, 9])
+    perm = list(range(64))
+    random.Random(29).shuffle(perm)
+    assert canonical_form(g) == canonical_form(permuted(g, perm))
 
 
 def test_are_isomorphic():
@@ -148,19 +153,37 @@ def test_canonicity_kernel_matches_brute_force():
             adj = list(g.adj)
             identity = _colex_code(adj, n, range(n))
             best = max(_colex_code(adj, n, order) for order in orders)
-            assert _is_canonical(adj, n, _identity_groups(adj, n)) == \
-                (identity == best), (n, adj)
+            order = _greater_order(adj, n, _identity_groups(adj, n))
+            assert (order is None) == (identity == best), (n, adj)
+            if order is not None:
+                assert sorted(order) == list(range(n))
+                assert _colex_code(adj, n, order) > identity, (n, adj)
 
 
-def test_canonicity_kernel_matches_canonical_label():
+def test_canonical_label_matches_brute_force():
+    # the canonical labelling carries the greatest code over all n! orders
     rng = random.Random(23)
-    for n in range(6, 9):
-        for _ in range(60):
-            g = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
-            for h in (g, canonical_label(g)):
-                adj = list(h.adj)
-                assert _is_canonical(adj, n, _identity_groups(adj, n)) == \
-                    (graph6_encode(canonical_label(h)) == graph6_encode(h))
+    graphs = [g for n in range(1, 6) for g in all_labeled_graphs(n)]
+    graphs += [random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
+               for n in (6, 7) for _ in range(12)]
+    for g in graphs:
+        n, adj = g.n, list(g.adj)
+        best = max(_colex_code(adj, n, order)
+                   for order in itertools.permutations(range(n)))
+        c = canonical_label(g)
+        assert _colex_code(list(c.adj), n, range(n)) == best, (n, adj)
+
+
+def test_twins_are_the_automorphic_transpositions():
+    for n in range(1, 6):
+        for g in all_labeled_graphs(n):
+            adj = list(g.adj)
+            twins = _twins(adj, n)
+            for u, w in itertools.product(range(n), repeat=2):
+                swap = list(range(n))
+                swap[u], swap[w] = w, u
+                assert bool(twins[u] >> w & 1) == (permuted(g, swap) == g), \
+                    (n, adj, u, w)
 
 
 def test_enumerate_n8_output_pinned(tmp_path):

@@ -59,6 +59,10 @@ def test_certify_stream_source():
     assert cert.winner == canonical_form(make_split(6, 2)).text
     with pytest.raises(ValueError):
         certify_max_q1(5, 2, graphs)  # order mismatch
+    # a stream is scanned in one process: sharding it is an error, not ignored
+    for kwargs in ({"shards": 4, "jobs": 2}, {"shards": 1}, {"jobs": 2}):
+        with pytest.raises(ValueError, match="source"):
+            certify_max_q1(6, 2, graphs, **kwargs)
 
 
 def test_certify_shard_merge_determinism():
