@@ -22,7 +22,7 @@ from .enumeration import (EnumerationTask, canonical_form, enumerate_graphs,
                           stream_graph6, write_graph6)
 from .fans import contains_fan
 from .graphs import Graph, Graph6Error, graph6_encode, make_split
-from .matching import ForbiddenPattern, turan_kk2
+from .matching import ForbiddenPattern
 from .search import (_sig15, certify_max_q1, certificate_payload,
                      efgg_construction, efgg_in_regime, efgg_value,
                      emit_certificate, turan_bruteforce)
@@ -197,9 +197,11 @@ def _cmd_turan(args) -> int:
     source = None
     if args.input is not None:
         source = list(_read_graphs(args.input, args.fail_fast))
-    payload = certificate_payload(turan_bruteforce(args.n, pattern, source))
+    record = turan_bruteforce(args.n, pattern, source)
+    payload = certificate_payload(record)
     if pattern.kind == "kk2":
-        payload["formula_value"] = turan_kk2(args.n, args.k)[0]
+        # the brute force sets a regime only where it matched the formula
+        payload["formula_value"] = None if record.regime is None else record.max_edges
     else:
         payload["formula_value"] = efgg_value(args.n, args.k)
         payload["formula_guaranteed"] = efgg_in_regime(args.n, args.k)

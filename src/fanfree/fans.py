@@ -10,9 +10,10 @@ isomorphism is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .graphs import Graph
-from .matching import _has_matching, _lex_witness
+from .matching import _lex_witness, _matching_size
 
 
 @dataclass(frozen=True)
@@ -39,6 +40,16 @@ def _validate_witness(g: Graph, k: int, w: FanWitness) -> None:
         used |= pair_mask
 
 
+def _fan_centres(g: Graph, k: int) -> Iterator[int]:
+    """Yield, in increasing order, every vertex at which a k-fan is centred."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    for v in range(g.n):
+        nb = g.adj[v]
+        if nb.bit_count() >= 2 * k and _matching_size(g.adj, nb, k) >= k:
+            yield v
+
+
 def contains_fan(g: Graph, k: int) -> FanWitness | None:
     """Smallest-centre witness of a k-fan subgraph, or None.
 
@@ -47,29 +58,16 @@ def contains_fan(g: Graph, k: int) -> FanWitness | None:
     to the lexicographically smallest pair set; the result is therefore
     deterministic even under concurrent per-vertex evaluation.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    for v in range(g.n):
-        nb = g.adj[v]
-        if nb.bit_count() < 2 * k:
-            continue
-        if _has_matching(g.adj, nb, k):
-            pairs = _lex_witness(g.adj, nb, k, {})
-            witness = FanWitness(v, pairs)
-            _validate_witness(g, k, witness)
-            return witness
+    for v in _fan_centres(g, k):
+        witness = FanWitness(v, _lex_witness(g.adj, g.adj[v], k))
+        _validate_witness(g, k, witness)
+        return witness
     return None
 
 
 def is_fan_free(g: Graph, k: int) -> bool:
     """True iff ``g`` contains no k-fan subgraph."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    for v in range(g.n):
-        nb = g.adj[v]
-        if nb.bit_count() >= 2 * k and _has_matching(g.adj, nb, k):
-            return False
-    return True
+    return next(_fan_centres(g, k), None) is None
 
 
 def common_neighbor_check(g: Graph) -> bool:

@@ -1,12 +1,10 @@
 """Exact maximum matching and the edge-maximum formulas for bounded matching number.
 
-The solver is a branch-and-bound over vertex inclusion with a greedy
-lower bound and a half-order upper bound, memoised on the surviving
-vertex mask.  Every call in this package is on graphs of at most 64
-vertices (and almost always on neighbourhoods of a dozen or fewer), so
-this is certified exact without needing a blossom implementation; the
-contract is algorithm-agnostic and a blossom backend could replace it
-without interface change.
+Every matching number here comes from one kernel on vertex bitmasks:
+the lexicographic greedy matching grown along augmenting paths with
+blossom contraction (Edmonds, "Paths, trees, and flowers", 1965).  It is
+polynomial and stops once a requested size is reached, which is all a
+fan test or a feasibility step of witness extraction needs.
 """
 
 from __future__ import annotations
@@ -29,8 +27,9 @@ class Regime(enum.Enum):
 class MatchingResult:
     """Matching number together with a witness.
 
-    ``pairs`` are pairwise vertex-disjoint edges in lexicographically
-    smallest order; exactness is certified by the exhaustive search.
+    ``pairs`` is the lexicographically smallest maximum matching, as
+    sorted pairs ``(u, v)`` with ``u < v``; the size is exact because
+    no augmenting path is left.
     """
 
     size: int
@@ -71,117 +70,120 @@ class TuranRecord:
     regime: Regime | None
 
 
-def _strip_isolated(adj: tuple[int, ...], mask: int) -> int:
-    out = mask
-    for v in bits(mask):
-        if not adj[v] & mask:
-            out &= ~(1 << v)
-    return out
+def _matching_size(adj: tuple[int, ...], mask: int, need: int) -> int:
+    """``min(need, matching number of the subgraph induced on mask)``.
 
-
-def _greedy_size(adj: tuple[int, ...], mask: int) -> int:
-    """Size of the lexicographic greedy maximal matching inside ``mask``."""
+    Each vertex the lexicographic greedy seed leaves exposed roots one
+    search for an augmenting path; a root without one keeps none after
+    later augmentations, so one pass over the roots is exact.
+    """
+    mate = [-1] * len(adj)
     size = 0
     avail = mask
-    while avail:
+    exposed = 0
+    while avail and size < need:
         u = (avail & -avail).bit_length() - 1
-        avail &= ~(1 << u)
+        avail ^= 1 << u
         nb = adj[u] & avail
         if nb:
             v = (nb & -nb).bit_length() - 1
-            avail &= ~(1 << v)
+            avail ^= 1 << v
+            mate[u], mate[v] = v, u
+            size += 1
+        elif adj[u] & mask:
+            exposed |= 1 << u
+    for root in bits(exposed):
+        if size >= need:
+            break
+        if mate[root] < 0 and _augment(adj, mask, mate, root):
             size += 1
     return size
 
 
-def _max_matching_size(adj: tuple[int, ...], mask: int, memo: dict[int, int]) -> int:
-    mask = _strip_isolated(adj, mask)
-    if mask == 0:
-        return 0
-    hit = memo.get(mask)
-    if hit is not None:
-        return hit
-    cap = mask.bit_count() // 2
-    u = (mask & -mask).bit_length() - 1
-    rest = mask & ~(1 << u)
-    best = _max_matching_size(adj, rest, memo)
-    if best < cap:
-        for v in bits(adj[u] & rest):
-            size = 1 + _max_matching_size(adj, rest & ~(1 << v), memo)
-            if size > best:
-                best = size
-                if best == cap:
-                    break
-    memo[mask] = best
-    return best
+def _augment(adj: tuple[int, ...], mask: int, mate: list[int], root: int) -> bool:
+    """Grow ``mate`` along one augmenting path from the exposed ``root``.
+
+    ``outer`` holds the queued vertices, at even distance from the root;
+    an edge between two of them closes a blossom, contracted to its base.
+    """
+    base = list(range(len(adj)))
+    parent = [-1] * len(adj)
+    outer = 1 << root
+    queue = [root]
+
+    def lca(a: int, b: int) -> int:
+        seen = 0
+        while a >= 0:
+            a = base[a]
+            seen |= 1 << a
+            a = parent[mate[a]] if mate[a] >= 0 else -1
+        while not seen >> base[b] & 1:
+            b = parent[mate[base[b]]]
+        return base[b]
+
+    def mark(v: int, b: int, child: int) -> int:
+        blossom = 0
+        while base[v] != b:
+            blossom |= 1 << base[v] | 1 << base[mate[v]]
+            parent[v] = child
+            child = mate[v]
+            v = parent[child]
+        return blossom
+
+    for v in queue:
+        for u in bits(adj[v] & mask):
+            if base[v] == base[u] or mate[v] == u:
+                continue
+            if outer >> u & 1:
+                b = lca(v, u)
+                blossom = mark(v, b, u) | mark(u, b, v)
+                for w in bits(mask):
+                    if blossom >> base[w] & 1:
+                        base[w] = b
+                        if not outer >> w & 1:
+                            outer |= 1 << w
+                            queue.append(w)
+            elif parent[u] < 0:
+                parent[u] = v
+                if mate[u] < 0:
+                    while u >= 0:
+                        p = parent[u]
+                        mate[u], mate[p], u = p, u, mate[p]
+                    return True
+                outer |= 1 << mate[u]
+                queue.append(mate[u])
+    return False
 
 
-def _has_matching(adj: tuple[int, ...], mask: int, need: int) -> bool:
-    """Decision variant: does ``mask`` induce a matching of size >= need?"""
-    if need <= 0:
-        return True
-    if _greedy_size(adj, mask) >= need:
-        return True
-    return _has_matching_search(adj, _strip_isolated(adj, mask), need)
-
-
-def _has_matching_search(adj: tuple[int, ...], mask: int, need: int) -> bool:
-    if need <= 0:
-        return True
-    mask = _strip_isolated(adj, mask)
-    if mask.bit_count() < 2 * need:
-        return False
-    u = (mask & -mask).bit_length() - 1
-    rest = mask & ~(1 << u)
-    for v in bits(adj[u] & rest):
-        if _has_matching_search(adj, rest & ~(1 << v), need - 1):
-            return True
-    return _has_matching_search(adj, rest, need)
-
-
-def _lex_witness(adj: tuple[int, ...], mask: int, size: int,
-                 memo: dict[int, int]) -> tuple[tuple[int, int], ...]:
-    """Lexicographically smallest set of ``size`` disjoint edges in ``mask``."""
+def _lex_witness(adj: tuple[int, ...], mask: int,
+                 size: int) -> tuple[tuple[int, int], ...]:
+    """Lexicographically smallest set of ``size`` disjoint edges in ``mask``:
+    the smallest edge whose removal leaves room for the rest, repeatedly."""
     pairs = []
     avail = mask
-    while len(pairs) < size:
-        found = False
-        for u in bits(avail):
-            nbu = adj[u] & avail
-            if not nbu:
-                continue
-            for v in bits(nbu):
-                rest = avail & ~(1 << u) & ~(1 << v)
-                if _max_matching_size(adj, rest, memo) >= size - len(pairs) - 1:
-                    pairs.append((u, v))
-                    avail = rest
-                    found = True
-                    break
-            if found:
-                break
-        if not found:  # cannot happen when size is the true matching number
+    for left in range(size - 1, -1, -1):
+        pair = next(((u, v) for u in bits(avail) for v in bits(adj[u] & avail)
+                     if _matching_size(adj, avail & ~(1 << u | 1 << v), left) >= left),
+                    None)
+        if pair is None:  # cannot happen when size is the true matching number
             raise RuntimeError("witness extraction lost feasibility")
+        pairs.append(pair)
+        avail &= ~(1 << pair[0] | 1 << pair[1])
     return tuple(pairs)
 
 
 def matching_number(g: Graph) -> MatchingResult:
     """Exact matching number with a lexicographically smallest witness."""
-    memo: dict[int, int] = {}
     full = (1 << g.n) - 1
-    size = _max_matching_size(g.adj, full, memo)
-    pairs = _lex_witness(g.adj, full, size, memo)
-    return MatchingResult(size, pairs)
+    size = _matching_size(g.adj, full, g.n)
+    return MatchingResult(size, _lex_witness(g.adj, full, size))
 
 
 def is_kk2_free(g: Graph, k: int) -> bool:
     """True iff ``g`` contains no k pairwise disjoint edges."""
     if k < 1:
         raise ValueError("k must be positive")
-    return not _has_matching(g.adj, (1 << g.n) - 1, k)
-
-
-def _split_value(n: int, alpha: int) -> int:
-    return alpha * n - alpha * (alpha + 1) // 2
+    return _matching_size(g.adj, (1 << g.n) - 1, k) < k
 
 
 def max_edges_matching(n: int, alpha: int) -> tuple[int, Regime]:
@@ -197,7 +199,7 @@ def max_edges_matching(n: int, alpha: int) -> tuple[int, Regime]:
     if n < 2 * alpha + 1:
         raise ValueError(f"requires n >= 2*alpha+1 = {2 * alpha + 1}, got n={n}")
     clique = (2 * alpha + 1) * alpha  # C(2a+1, 2)
-    split = _split_value(n, alpha)
+    split = alpha * n - alpha * (alpha + 1) // 2
     # trichotomy boundary at n = (5*alpha+3)/2, compared in integers
     lhs = 2 * n
     rhs = 5 * alpha + 3

@@ -248,12 +248,9 @@ def merris_bound(g: Graph) -> tuple[float, int]:
     """
     best = -math.inf
     argmax = -1
-    for v in range(g.n):
-        d = g.degree(v)
-        if d == 0:
+    for v, value in enumerate(_vertex_bounds(g)):
+        if value is None:
             raise ValueError(f"vertex {v} is isolated; bound undefined")
-        total = sum(g.degree(u) for u in bits(g.adj[v]))
-        value = d + total / d
         if value > best:
             best = value
             argmax = v
@@ -267,14 +264,14 @@ def _degree_bound(g: Graph) -> float:
     Isolated vertices add only zero eigenvalues, so the maximum over the
     other vertices still bounds q1 from above.
     """
+    return max((b for b in _vertex_bounds(g) if b is not None), default=0.0)
+
+
+def _vertex_bounds(g: Graph) -> list[float | None]:
+    """Per vertex, ``d_v + (sum of neighbour degrees)/d_v``, or None if isolated."""
     deg = [row.bit_count() for row in g.adj]
-    best = 0.0
-    for v, d in enumerate(deg):
-        if d:
-            value = d + sum(deg[u] for u in bits(g.adj[v])) / d
-            if value > best:
-                best = value
-    return best
+    return [d + sum(deg[u] for u in bits(row)) / d if d else None
+            for d, row in zip(deg, g.adj)]
 
 
 def quotient(m: SymMatrix, p: VertexPartition) -> QuotientMatrix:

@@ -96,6 +96,22 @@ def brute_matching_number(g: Graph) -> int:
     return best
 
 
+def brute_lex_matching(g: Graph, size: int | None = None
+                       ) -> tuple[tuple[int, int], ...] | None:
+    """Lexicographically smallest sorted tuple of ``size`` disjoint edges
+    (default: of a maximum matching), or None if there is none; by
+    exhaustive subset search."""
+    edges = g.edges()
+    sizes = [size] if size is not None else range(g.n // 2, -1, -1)
+    for r in sizes:
+        # combinations of the sorted edge list come out in lexicographic order
+        for combo in itertools.combinations(edges, r):
+            covered = [x for e in combo for x in e]
+            if len(set(covered)) == 2 * r:
+                return combo
+    return None
+
+
 def _has_perfect_pairing(g: Graph, center: int, rest: tuple[int, ...]) -> bool:
     """Can ``rest`` be split into adjacent pairs, all inside N(center)?"""
     if not rest:

@@ -184,6 +184,15 @@ def test_turan_subcommand(capsys):
     data = json.loads(out)
     assert data["max_edges"] == 9 == data["formula_value"]
     assert data["formula_guaranteed"] is False
+    # outside the kK2 formula's range (k >= 2, n >= 2k-1) the brute force
+    # still answers, with no regime and no formula value
+    for n, k, edges in (("5", "1", 0), ("4", "3", 6)):
+        code, out, _ = run_cli(capsys, ["turan", "--n", n, "--pattern", "kk2",
+                                        "--k", k])
+        assert code == 0
+        data = json.loads(out)
+        assert data["max_edges"] == edges
+        assert data["regime"] is None and data["formula_value"] is None
 
 
 def test_bounds_subcommand(capsys, monkeypatch):

@@ -14,7 +14,7 @@ from fanfree.graphs import (complete_bipartite, complete_graph, cycle_graph,
                             make_fan, make_split, path_graph)
 from fanfree.matching import matching_number
 
-from helpers import naive_contains_fan, random_graph
+from helpers import brute_lex_matching, naive_contains_fan, random_graph
 
 
 def test_fan_contains_itself():
@@ -47,7 +47,7 @@ def test_witness_determinism_and_validity():
     rng = random.Random(17)
     for _ in range(200):
         g = random_graph(rng, rng.randint(3, 9), rng.choice([0.4, 0.7]))
-        for k in (1, 2):
+        for k in (1, 2, 3):
             w = contains_fan(g, k)
             assert (w is None) == is_fan_free(g, k)
             if w is None:
@@ -58,6 +58,12 @@ def test_witness_determinism_and_validity():
                 if len(nb) >= 2 * k:
                     sub, _ = induced_subgraph(g, nb)
                     assert matching_number(sub).size < k
+            # the pairs are the lexicographically smallest k disjoint
+            # edges of the centre's neighbourhood
+            sub, keep = induced_subgraph(g, g.neighbors(w.center))
+            assert matching_number(sub).size >= k
+            assert w.pairs == tuple((keep[a], keep[b]) for a, b in
+                                    brute_lex_matching(sub, k))
             used = set()
             for u, v in w.pairs:
                 assert g.has_edge(u, v)

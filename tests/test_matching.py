@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanfree.graphs import (Graph, complete_graph, cycle_graph, disjoint_union,
-                            empty_graph, make_split, path_graph)
+from fanfree.graphs import (Graph, complete_bipartite, complete_graph,
+                            cycle_graph, disjoint_union, empty_graph,
+                            from_edges, make_split, path_graph)
 from fanfree.matching import (ForbiddenPattern, Regime, is_kk2_free,
                               matching_number, max_edges_matching, turan_kk2)
+from fanfree.search import efgg_construction
 
-from helpers import (all_labeled_graphs, brute_matching_number, random_graph)
+from helpers import (all_labeled_graphs, brute_lex_matching,
+                     brute_matching_number, permuted, random_graph)
 
 
 def _check_witness(g: Graph, result):
@@ -24,6 +27,19 @@ def _check_witness(g: Graph, result):
     assert len(result.pairs) == result.size
 
 
+def _petersen() -> Graph:
+    return from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                      + [(i, i + 5) for i in range(5)]
+                      + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+def _triangles(count: int) -> Graph:
+    g = complete_graph(3)
+    for _ in range(count - 1):
+        g = disjoint_union(g, complete_graph(3))
+    return g
+
+
 def test_matching_known_values():
     assert matching_number(complete_graph(4)).size == 2
     assert matching_number(complete_graph(5)).size == 2
@@ -33,14 +49,28 @@ def test_matching_known_values():
     assert matching_number(empty_graph(6)).size == 0
     assert matching_number(make_split(9, 2)).size == 2
     assert matching_number(complete_graph(4)).pairs == ((0, 1), (2, 3))
+    # large and blossom-heavy graphs with closed-form matching numbers; the
+    # seeded relabellings leave the greedy seed short on odd cycles and the
+    # Petersen graph, so augmenting paths through blossoms close the gap
+    rng = random.Random(41)
+    cases = [(complete_bipartite(15, 16), 15), (_petersen(), 5),
+             (_triangles(21), 21), (efgg_construction(32, 3)[0], 16)]
+    cases += [(cycle_graph(2 * m + 1), m) for m in range(1, 32)]
+    for g, nu in cases:
+        for h in (g, permuted(g, rng.sample(range(g.n), g.n))):
+            r = matching_number(h)
+            assert r.size == nu, (h, nu)
+            _check_witness(h, r)
+            assert not is_kk2_free(h, nu) and is_kk2_free(h, nu + 1)
 
 
 def test_matching_vs_bruteforce_exhaustive_small():
-    for n in range(1, 6):
+    # the witness is the lexicographically smallest maximum matching
+    for n in range(1, 7):
         for g in all_labeled_graphs(n):
             r = matching_number(g)
             assert r.size == brute_matching_number(g)
-            _check_witness(g, r)
+            assert r.pairs == brute_lex_matching(g)
 
 
 def test_matching_vs_bruteforce_random():
