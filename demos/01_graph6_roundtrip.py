@@ -1,7 +1,7 @@
 """Build a few named graphs, push them through the graph6 codec, and
 check the round trip is the identity."""
 
-from fanfree import (NamedGraphSpec, cycle_graph, graph6_decode, graph6_encode,
+from fanfree import (circulant_graph, cycle_graph, graph6_decode, graph6_encode,
                      make_fan, make_split, path_graph)
 
 SAMPLES = [
@@ -10,8 +10,7 @@ SAMPLES = [
     ("F2", make_fan(2)),
     ("S_{8,2}", make_split(8, 2)),
     ("S_{12,3}", make_split(12, 3)),
-    (repr(NamedGraphSpec("circulant", (9, 1, 2))),
-     NamedGraphSpec("circulant", (9, 1, 2)).build()),
+    ("C_9(1,2)", circulant_graph(9, (1, 2))),
 ]
 
 

@@ -13,12 +13,11 @@ from .enumeration import (ENUMERATION_MAX_N, CanonicalForm, EnumerationTask,
                           enumerate_graphs, stream_graph6, write_graph6)
 from .fans import (FanWitness, common_neighbor_check, contains_fan,
                    fan_saturation_gap, is_fan_free, is_fan_saturated)
-from .graphs import (MAX_VERTICES, Graph, Graph6Error, NamedGraphSpec,
-                     complete_bipartite, complete_graph, circulant_graph,
-                     cut_edges, cycle_graph, disjoint_union, empty_graph,
-                     from_edges, graph6_decode, graph6_encode, induced_subgraph,
-                     join, make_fan, make_split, path_graph,
-                     second_neighborhood)
+from .graphs import (MAX_VERTICES, Graph, Graph6Error, complete_bipartite,
+                     complete_graph, circulant_graph, cut_edges, cycle_graph,
+                     disjoint_union, empty_graph, from_edges, graph6_decode,
+                     graph6_encode, induced_subgraph, join, make_fan,
+                     make_split, path_graph, second_neighborhood)
 from .matching import (ForbiddenPattern, MatchingResult, Regime, TuranRecord,
                        is_kk2_free, matching_number, max_edges_matching,
                        turan_kk2)
@@ -40,7 +39,7 @@ __all__ = [
     "write_graph6",
     "FanWitness", "common_neighbor_check", "contains_fan", "fan_saturation_gap",
     "is_fan_free", "is_fan_saturated",
-    "MAX_VERTICES", "Graph", "Graph6Error", "NamedGraphSpec",
+    "MAX_VERTICES", "Graph", "Graph6Error",
     "complete_bipartite", "complete_graph", "circulant_graph", "cut_edges",
     "cycle_graph", "disjoint_union", "empty_graph", "from_edges",
     "graph6_decode", "graph6_encode", "induced_subgraph", "join", "make_fan",

@@ -148,20 +148,11 @@ def _cmd_fan_free(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    tol = _tolerances(args)
-    if args.jobs < 1 or (args.shards is not None and args.shards < 1):
-        raise _UsageError("--jobs and --shards must be at least 1")
-    if args.input is not None and (args.shards is not None or args.jobs > 1):
-        raise _UsageError("--input cannot be combined with --shards or "
-                          "--jobs above 1: a stream is scanned in one process")
-    shards = args.shards
-    if shards is None and args.jobs > 1:
-        shards = args.jobs
     source = None
     if args.input is not None:
         source = list(_read_graphs(args.input, args.fail_fast))
-    cert = certify_max_q1(args.n, args.k, source, tolerances=tol,
-                          shards=shards, jobs=args.jobs)
+    cert = certify_max_q1(args.n, args.k, source, tolerances=_tolerances(args),
+                          jobs=args.jobs)
     logger.info("certify n=%d k=%d: scanned %d fan-free of %d classes in %.2fs",
                 cert.n, cert.k, cert.scanned, cert.total, cert.elapsed)
     if args.format == "json":
@@ -281,11 +272,9 @@ def build_parser() -> _Parser:
                        "maximiser among fan-free graphs")
     p.add_argument("--n", type=int, help="graph order")
     p.add_argument("--k", type=int, help="fan parameter")
-    p.add_argument("--shards", type=int, default=None,
-                   help="split the scan into this many enumeration shards "
-                        "(default: one per job)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes that scan the shards (default 1)")
+                   help="worker processes, each scanning one round-robin "
+                        "enumeration shard (default 1)")
     p.add_argument("--tol-eigen", type=float, help="eigenvalue accuracy target")
     p.add_argument("--tol-margin", type=float, help="equality margin for ties")
     _add_io(p)

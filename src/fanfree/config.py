@@ -1,18 +1,19 @@
 """Central tolerance configuration.
 
-Every numerical comparison in the package routes through one Tolerances
-record so that certification output can report exactly which constants
-were in force.
+The settable tolerances live in one Tolerances record, and every field
+of it is printed in the certificate's ``tolerances`` block, so a run
+reports exactly which of them were in force.  The eigensolver's own
+convergence constants are fixed in ``spectral``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical tolerances shared across the spectral and search layers.
+    """Numerical tolerances of the certification scan.
 
     eigen:
         absolute accuracy demanded of eigenvalues returned by the dense
@@ -22,31 +23,16 @@ class Tolerances:
         closer than this are treated as a tie and re-verified.
     margin_tight:
         tightened margin used when re-verifying apparent ties.
-    jacobi_off_factor:
-        Jacobi sweeps stop once the off-diagonal Frobenius norm drops
-        below ``jacobi_off_factor * order``.
-    jacobi_sweep_budget:
-        hard sweep cap; exceeding it on symmetric input is an internal
-        error, not a user-facing condition.
-    equitable_slack:
-        slack used when testing equitability of float-valued matrices
-        (integer matrices are compared exactly).
     """
 
     eigen: float = 1e-9
     margin: float = 1e-6
     margin_tight: float = 1e-12
-    jacobi_off_factor: float = 1e-12
-    jacobi_sweep_budget: int = 100
-    equitable_slack: float = 1e-12
 
     def __post_init__(self) -> None:
-        for name in ("eigen", "margin", "margin_tight", "jacobi_off_factor",
-                     "equitable_slack"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"tolerance {name!r} must be positive")
-        if self.jacobi_sweep_budget < 1:
-            raise ValueError("jacobi_sweep_budget must be at least 1")
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise ValueError(f"tolerance {f.name!r} must be positive")
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -24,7 +24,7 @@ import logging
 from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO
 
-from .graphs import MAX_VERTICES, Graph, Graph6Error, graph6_decode, graph6_encode
+from .graphs import Graph, Graph6Error, graph6_decode, graph6_encode
 
 logger = logging.getLogger("fanfree")
 

@@ -243,50 +243,6 @@ def make_fan(k: int) -> Graph:
     return join(complete_graph(1), blades)
 
 
-@dataclass(frozen=True)
-class NamedGraphSpec:
-    """Descriptor for the named constructions.
-
-    ``kind`` is one of ``complete``, ``empty``, ``split``, ``fan``,
-    ``complete_bipartite``, ``cycle``, ``path``, ``circulant``,
-    ``union``, ``join``; ``params`` holds the integer arguments and
-    ``operands`` the sub-specs for ``union``/``join``.
-    """
-
-    kind: str
-    params: tuple[int, ...] = ()
-    operands: tuple["NamedGraphSpec", ...] = ()
-
-    def build(self) -> Graph:
-        k = self.kind
-        p = self.params
-        if k == "complete":
-            return complete_graph(*p)
-        if k == "empty":
-            return empty_graph(*p)
-        if k == "split":
-            return make_split(*p)
-        if k == "fan":
-            return make_fan(*p)
-        if k == "complete_bipartite":
-            return complete_bipartite(*p)
-        if k == "cycle":
-            return cycle_graph(*p)
-        if k == "path":
-            return path_graph(*p)
-        if k == "circulant":
-            return circulant_graph(p[0], p[1:])
-        if k in ("union", "join"):
-            if len(self.operands) < 2:
-                raise ValueError(f"{k} needs at least two operands")
-            combine = disjoint_union if k == "union" else join
-            out = self.operands[0].build()
-            for spec in self.operands[1:]:
-                out = combine(out, spec.build())
-            return out
-        raise ValueError(f"unknown graph kind {self.kind!r}")
-
-
 # -- structural queries ------------------------------------------------
 
 

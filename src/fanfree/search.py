@@ -15,15 +15,14 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, TextIO
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .enumeration import EnumerationTask, canonical_form, enumerate_graphs
 from .fans import is_fan_free
-from .graphs import (Graph, complete_bipartite, graph6_decode, graph6_encode,
-                     make_split)
+from .graphs import Graph, complete_bipartite, graph6_decode, make_split
 from .matching import ForbiddenPattern, Regime, TuranRecord, is_kk2_free, turan_kk2
 from .spectral import (_degree_bound, q1, rayleigh_power_lambda1,
                        signless_laplacian, spectrum)
@@ -125,8 +124,9 @@ class _TopList:
         self._trim()
 
     def merge(self, entries: list[tuple[float, str]]) -> None:
-        self.entries.extend(entries)
-        self._trim()
+        if entries:
+            self.entries.extend(entries)
+            self._trim()
 
     def _trim(self) -> None:
         self.entries.sort(key=lambda t: (-t[0], t[1]))
@@ -137,8 +137,9 @@ class _TopList:
 
 
 def _scan(graphs: Iterable[Graph], n: int, k: int,
-          tol: Tolerances) -> tuple[_TopList, int, int]:
-    """Top list of the fan-free graphs, with the fan-free and total counts.
+          tol: Tolerances) -> tuple[list[tuple[float, str]], int, int]:
+    """Top-list entries of the fan-free graphs, with the fan-free and
+    total counts.
 
     The fan-free graphs are eigensolved in descending order of their
     degree bound, stopping at the first whose bound (plus the
@@ -159,70 +160,66 @@ def _scan(graphs: Iterable[Graph], n: int, k: int,
     for bound, g in survivors:
         if top.excludes(bound + tol.eigen):
             break
-        top.offer(q1(g, tolerances=tol), lambda g=g: canonical_form(g).text)
-    return top, len(survivors), total
+        top.offer(q1(g), lambda g=g: canonical_form(g).text)
+    return top.entries, len(survivors), total
 
 
 def _scan_shard(args: tuple[int, int, int, int, Tolerances]):
     n, k, index, count, tol = args
     task = EnumerationTask(n, shard=(index, count))
-    top, scanned, total = _scan(enumerate_graphs(task), n, k, tol)
-    return top.entries, scanned, total
+    return _scan(enumerate_graphs(task), n, k, tol)
 
 
-def _tight_q1(g: Graph, tol: Tolerances) -> float:
-    tight = replace(tol, jacobi_off_factor=min(tol.jacobi_off_factor, 1e-14))
-    return spectrum(signless_laplacian(g), tolerances=tight).eigenvalues[0]
+def _tight_q1(g: Graph) -> float:
+    return spectrum(signless_laplacian(g), _off_factor=1e-14).eigenvalues[0]
 
 
 def certify_max_q1(n: int, k: int, source: Iterable[Graph] | None = None, *,
                    tolerances: Tolerances | None = None,
-                   shards: int | None = None,
                    jobs: int = 1) -> SearchCertificate:
     """Scan every isomorphism class of order ``n``, keep the fan-free
     ones, and certify the signless-Laplacian spectral-radius maximiser.
 
     ``source`` may be an iterable of graphs of order ``n`` (for example
     a decoded graph6 stream), or None for the default exhaustive run over
-    every class; ``shards`` splits the default run over enumeration shards,
-    scanned by ``jobs`` worker processes (serially when ``jobs`` is 1),
-    with a deterministic merge, so the certificate is identical to the
-    unsharded one apart from ``elapsed``.  A ``source`` is scanned in one
-    process, so it cannot be combined with ``shards`` or with ``jobs``
-    other than 1.
+    every class.  The default run is split into ``jobs`` round-robin
+    enumeration shards, one per worker process (scanned in this process
+    when ``jobs`` is 1), and the parts are merged deterministically, so
+    the certificate does not depend on ``jobs`` apart from ``elapsed``.
+    A ``source`` is scanned in one process, so it cannot be combined
+    with ``jobs`` above 1.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    if source is not None and (shards is not None or jobs != 1):
-        raise ValueError("a graph source cannot be combined with shards or "
-                         "jobs: a stream is scanned in one process")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    if source is not None and jobs != 1:
+        raise ValueError("a graph source cannot be combined with jobs above "
+                         "1: a stream is scanned in one process")
     tol = tolerances if tolerances is not None else DEFAULT_TOLERANCES
     t0 = time.perf_counter()
 
-    if source is None and shards is not None and shards > 1:
-        plans = [(n, k, i, shards, tol) for i in range(shards)]
-        if jobs > 1:
-            import multiprocessing
-
-            with multiprocessing.Pool(min(jobs, shards)) as pool:
-                parts = pool.map(_scan_shard, plans)
-        else:
-            parts = [_scan_shard(p) for p in plans]
-        top = _TopList(tol.margin)
-        scanned = 0
-        total = 0
-        for entries, part_scanned, part_total in parts:
-            top.merge(entries)
-            scanned += part_scanned
-            total += part_total
+    if source is not None:
+        parts = [_scan(source, n, k, tol)]
+    elif jobs == 1:
+        parts = [_scan_shard((n, k, 0, 1, tol))]
     else:
-        if source is None:
-            source = enumerate_graphs(EnumerationTask(n))
-        top, scanned, total = _scan(source, n, k, tol)
+        import multiprocessing
 
+        with multiprocessing.Pool(jobs) as pool:
+            parts = pool.map(_scan_shard, [(n, k, i, jobs, tol) for i in range(jobs)])
+    top = _TopList(tol.margin)
+    scanned = total = 0
+    for entries, part_scanned, part_total in parts:
+        top.merge(entries)
+        scanned += part_scanned
+        total += part_total
+
+    if total == 0:
+        raise RuntimeError("empty survivor set: the source yielded no graphs")
     if not top.entries:
-        raise RuntimeError("empty survivor set: the edgeless graph is always "
-                           "fan-free, so the source yielded no graphs")
+        raise RuntimeError(f"empty survivor set: none of the {total} graphs "
+                           f"read is {k}-fan-free")
 
     entries = top.entries
     best_value = entries[0][0]
@@ -234,7 +231,7 @@ def certify_max_q1(n: int, k: int, source: Iterable[Graph] | None = None, *,
         # re-verify apparent ties at tightened tolerance before
         # conceding or claiming uniqueness
         refined = sorted(
-            ((_tight_q1(graph6_decode(text), tol), text) for _, text in tied),
+            ((_tight_q1(graph6_decode(text)), text) for _, text in tied),
             key=lambda t: (-t[0], t[1]))
         tight_best = refined[0][0]
         survivors = [e for e in refined if tight_best - e[0] <= tol.margin_tight]

@@ -131,33 +131,50 @@ def test_certify_counterexample_protocol(capsys, tmp_path):
 
 
 def test_certify_jobs_and_shards_flags(capsys, monkeypatch, tmp_path):
+    base = ["certify", "--n", "5", "--k", "2"]
+    path = tmp_path / "in.g6"
+    path.write_text("D??\n")
+    # jobs is checked by the library, whose ValueError exits 1
+    for flags in (["--jobs", "0"], ["--jobs", "-3"]):
+        code, _, err = run_cli(capsys, base + flags)
+        assert code == 1 and "at least 1" in err
+    code, _, err = run_cli(capsys, base + ["--input", str(path), "--jobs", "2"])
+    assert code == 1 and "source" in err and "jobs" in err
+    # --jobs alone sets the split: certify takes no --shards
+    for flags in (["--shards", "1"], ["--shards", "2"], ["--jobs", "2", "--shards", "4"]):
+        code, out, err = run_cli(capsys, base + flags)
+        assert code == 1 and "--shards" in err and out == "", flags
+
     cert = fanfree.cli.certify_max_q1(5, 2)
     seen = []
 
-    def fake(n, k, source, *, tolerances, shards, jobs):
-        seen.append((shards, jobs))
+    def fake(n, k, source, *, tolerances, jobs):
+        seen.append(jobs)
         return cert
 
     monkeypatch.setattr(fanfree.cli, "certify_max_q1", fake)
-    base = ["certify", "--n", "5", "--k", "2"]
-    for flags, want in [([], (None, 1)),
-                        (["--shards", "3"], (3, 1)),
-                        (["--jobs", "2"], (2, 2)),
-                        (["--jobs", "2", "--shards", "4"], (4, 2))]:
+    for flags, want in [([], 1), (["--jobs", "2"], 2)]:
         code, _, _ = run_cli(capsys, base + flags)
         assert code == 0
         assert seen.pop() == want, flags
-    for flags in (["--jobs", "0"], ["--shards", "0"]):
-        code, _, err = run_cli(capsys, base + flags)
-        assert code == 1 and "at least 1" in err
-    path = tmp_path / "in.g6"
-    path.write_text("D??\n")
     code, _, _ = run_cli(capsys, base + ["--input", str(path), "--jobs", "1"])
-    assert code == 0 and seen.pop() == (None, 1)
-    for flags in (["--shards", "1"], ["--shards", "2"], ["--jobs", "2"]):
-        code, _, err = run_cli(capsys, base + ["--input", str(path)] + flags)
-        assert code == 1 and "--input" in err and flags[0] in err, flags
+    assert code == 0 and seen.pop() == 1
     assert not seen
+
+
+def test_certify_empty_survivor_messages(capsys, tmp_path):
+    # K5 contains a 2-fan, so the source yields a graph but no survivor
+    path = tmp_path / "k5.g6"
+    path.write_text("D~{\n")
+    code, out, err = run_cli(capsys, ["certify", "--n", "5", "--k", "2",
+                                      "--input", str(path)])
+    assert code == 1 and out == ""
+    assert "none of the 1 graphs read is 2-fan-free" in err
+    path.write_text("")
+    code, out, err = run_cli(capsys, ["certify", "--n", "5", "--k", "2",
+                                      "--input", str(path)])
+    assert code == 1 and out == ""
+    assert "yielded no graphs" in err and "fan-free" not in err
 
 
 def test_certify_tsv_matches_json(capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanfree.graphs import (MAX_VERTICES, Graph, Graph6Error, NamedGraphSpec,
+from fanfree.graphs import (MAX_VERTICES, Graph, Graph6Error,
                             complete_bipartite, complete_graph, circulant_graph,
                             cut_edges, cycle_graph, disjoint_union, empty_graph,
                             from_edges, graph6_decode, graph6_encode,
@@ -119,14 +119,6 @@ def test_cut_edges():
     assert cut_edges(path_graph(4), [0, 1], [2, 3]) == 1
     with pytest.raises(ValueError):
         cut_edges(g, [0, 1], [1, 2])  # overlapping sides
-
-
-def test_named_graph_spec():
-    assert NamedGraphSpec("split", (8, 2)).build() == make_split(8, 2)
-    assert NamedGraphSpec("fan", (3,)).build() == make_fan(3)
-    assert NamedGraphSpec("complete", (4,)).build() == complete_graph(4)
-    with pytest.raises(ValueError):
-        NamedGraphSpec("nonsense", (1,)).build()
 
 
 KNOWN_GRAPH6 = [

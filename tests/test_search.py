@@ -4,11 +4,12 @@ import io
 import json
 import math
 import random
+from dataclasses import fields
 
 import pytest
 
 from fanfree import search
-from fanfree.config import DEFAULT_TOLERANCES
+from fanfree.config import DEFAULT_TOLERANCES, Tolerances
 from fanfree.enumeration import EnumerationTask, canonical_form, enumerate_graphs
 from fanfree.fans import is_fan_free
 from fanfree.graphs import graph6_decode, make_split
@@ -60,17 +61,39 @@ def test_certify_stream_source():
     with pytest.raises(ValueError):
         certify_max_q1(5, 2, graphs)  # order mismatch
     # a stream is scanned in one process: sharding it is an error, not ignored
-    for kwargs in ({"shards": 4, "jobs": 2}, {"shards": 1}, {"jobs": 2}):
+    for jobs in (2, 4):
         with pytest.raises(ValueError, match="source"):
-            certify_max_q1(6, 2, graphs, **kwargs)
+            certify_max_q1(6, 2, graphs, jobs=jobs)
 
 
 def test_certify_shard_merge_determinism():
     a = certificate_payload(certify_max_q1(7, 2))
-    b = certificate_payload(certify_max_q1(7, 2, shards=4))
+    b = certificate_payload(certify_max_q1(7, 2, jobs=4))
     a.pop("elapsed")
     b.pop("elapsed")
     assert a == b
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (2, 1), (5, 1), (7, 2)])
+def test_certify_jobs_matches_serial(n, k):
+    # (1, 1) and (2, 1) leave shard 1 empty; (5, 1) is a tie that goes
+    # through the tightened re-check
+    a = certificate_payload(certify_max_q1(n, k))
+    b = certificate_payload(certify_max_q1(n, k, jobs=2))
+    a.pop("elapsed")
+    b.pop("elapsed")
+    assert a == b
+
+
+def test_certify_rejects_bad_jobs():
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs"):
+            certify_max_q1(5, 2, jobs=jobs)
+
+
+def test_tolerances_are_what_the_certificate_records():
+    payload = certificate_payload(certify_max_q1(4, 2))
+    assert [f.name for f in fields(Tolerances)] == list(payload["tolerances"])
 
 
 @pytest.fixture(scope="module")
@@ -85,9 +108,9 @@ def test_bound_pruned_scan_matches_full_scan(classes_7_8, monkeypatch, n, k):
     # an infinite bound never excludes anything: every survivor is solved
     monkeypatch.setattr(search, "_degree_bound", lambda g: math.inf)
     full, full_scanned, full_total = search._scan(classes_7_8[n], n, k, tol)
-    assert pruned.entries == full.entries
+    assert pruned == full
     assert (scanned, total) == (full_scanned, full_total)
-    assert len(full.entries) >= 5
+    assert len(full) >= 5
 
 
 def test_certify_rejects_bad_k():

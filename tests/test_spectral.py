@@ -13,7 +13,8 @@ from fanfree.enumeration import EnumerationTask, enumerate_graphs
 from fanfree.graphs import (complete_bipartite, complete_graph, cycle_graph,
                             disjoint_union, empty_graph, graph6_decode,
                             graph6_encode, make_split, path_graph)
-from fanfree.spectral import (QuotientMatrix, SymMatrix, VertexPartition,
+from fanfree.spectral import (JACOBI_OFF_FACTOR, JACOBI_SWEEP_BUDGET,
+                              QuotientMatrix, SymMatrix, VertexPartition,
                               _degree_bound,
                               eq1_identity, merris_bound, perron_dominance, q1,
                               q1_split_closed_form, q1_split_lower_bound,
@@ -61,14 +62,14 @@ def test_spectrum_known_closed_forms():
 
 def test_spectrum_convergence_reporting():
     res = spectrum(signless_laplacian(complete_graph(5)))
-    assert res.offdiag_residual <= DEFAULT_TOLERANCES.jacobi_off_factor * 5
-    assert res.sweeps <= DEFAULT_TOLERANCES.jacobi_sweep_budget
+    assert res.offdiag_residual <= JACOBI_OFF_FACTOR * 5
+    assert res.sweeps <= JACOBI_SWEEP_BUDGET
     # D{O: already diagonal after a few sweeps; its off-diagonal norm must
     # not be lost to cancellation against the diagonal.
     m = signless_laplacian(graph6_decode("D{O"))
     res = spectrum(m)
-    assert res.offdiag_residual <= DEFAULT_TOLERANCES.jacobi_off_factor * 5
-    assert res.sweeps <= DEFAULT_TOLERANCES.jacobi_sweep_budget
+    assert res.offdiag_residual <= JACOBI_OFF_FACTOR * 5
+    assert res.sweeps <= JACOBI_SWEEP_BUDGET
     expected = np.linalg.eigvalsh(m.entries)[::-1]
     assert np.max(np.abs(np.array(res.eigenvalues) - expected)) < 1e-12
 
