@@ -7,7 +7,6 @@ the complete split graph maximises the spectral radius among fan-free
 graphs of a given order.
 """
 
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .enumeration import (ENUMERATION_MAX_N, CanonicalForm, EnumerationTask,
                           are_isomorphic, canonical_form, canonical_label,
                           enumerate_graphs, stream_graph6, write_graph6)
@@ -33,7 +32,6 @@ from .spectral import (QuotientMatrix, SpectrumResult, SymMatrix,
                        split_quotient)
 
 __all__ = [
-    "DEFAULT_TOLERANCES", "Tolerances",
     "ENUMERATION_MAX_N", "CanonicalForm", "EnumerationTask", "are_isomorphic",
     "canonical_form", "canonical_label", "enumerate_graphs", "stream_graph6",
     "write_graph6",

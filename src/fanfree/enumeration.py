@@ -51,6 +51,8 @@ class EnumerationTask:
     shard: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.n, int):
+            raise ValueError(f"enumeration order must be an integer, got {self.n!r}")
         if not 1 <= self.n <= ENUMERATION_MAX_N:
             raise ValueError(
                 f"enumeration order must be in 1..{ENUMERATION_MAX_N}, got {self.n}")

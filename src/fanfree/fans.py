@@ -55,8 +55,8 @@ def contains_fan(g: Graph, k: int) -> FanWitness | None:
 
     A witness exists iff some vertex's induced neighbourhood has matching
     number at least ``k``.  Ties break to the smallest centre index, then
-    to the lexicographically smallest pair set; the result is therefore
-    deterministic even under concurrent per-vertex evaluation.
+    to the lexicographically smallest pair set, so the result is
+    deterministic.
     """
     for v in _fan_centres(g, k):
         witness = FanWitness(v, _lex_witness(g.adj, g.adj[v], k))

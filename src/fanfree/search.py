@@ -19,13 +19,17 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, TextIO
 
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .enumeration import EnumerationTask, canonical_form, enumerate_graphs
 from .fans import is_fan_free
 from .graphs import Graph, complete_bipartite, graph6_decode, make_split
 from .matching import ForbiddenPattern, Regime, TuranRecord, is_kk2_free, turan_kk2
-from .spectral import (_degree_bound, q1, rayleigh_power_lambda1,
-                       signless_laplacian, spectrum)
+from .spectral import (EIGEN_ACCURACY, _degree_bound, q1,
+                       rayleigh_power_lambda1, signless_laplacian, spectrum)
+
+# Two spectral radii closer than MARGIN are an apparent tie and are
+# re-verified; a re-verified tie closer than MARGIN_TIGHT stands.
+MARGIN = 1e-6
+MARGIN_TIGHT = 1e-12
 
 
 @dataclass(frozen=True)
@@ -52,7 +56,6 @@ class SearchCertificate:
     total: int
     elapsed: float
     in_theorem_regime: bool
-    tolerances: Tolerances
 
     def __post_init__(self) -> None:
         if self.margin is not None and self.margin < 0:
@@ -105,17 +108,16 @@ def theorem_regime(n: int, k: int) -> bool:
 
 class _TopList:
     """Descending (q1, canonical graph6) entries: the best five plus any
-    further entries within the equality margin of the best."""
+    further entries within MARGIN of the best."""
 
-    def __init__(self, margin: float) -> None:
-        self.margin = margin
+    def __init__(self) -> None:
         self.entries: list[tuple[float, str]] = []
 
     def excludes(self, value: float) -> bool:
         """Whether an offer of ``value``, or of anything smaller, is
         dropped now and at every later point."""
         e = self.entries
-        return len(e) >= 5 and value < e[-1][0] and value < e[0][0] - self.margin
+        return len(e) >= 5 and value < e[-1][0] and value < e[0][0] - MARGIN
 
     def offer(self, value: float, make_text) -> None:
         if self.excludes(value):
@@ -132,12 +134,12 @@ class _TopList:
         self.entries.sort(key=lambda t: (-t[0], t[1]))
         top = self.entries[0][0]
         keep = [t for i, t in enumerate(self.entries)
-                if i < 5 or t[0] >= top - self.margin]
+                if i < 5 or t[0] >= top - MARGIN]
         self.entries = keep
 
 
-def _scan(graphs: Iterable[Graph], n: int, k: int,
-          tol: Tolerances) -> tuple[list[tuple[float, str]], int, int]:
+def _scan(graphs: Iterable[Graph], n: int,
+          k: int) -> tuple[list[tuple[float, str]], int, int]:
     """Top-list entries of the fan-free graphs, with the fan-free and
     total counts.
 
@@ -156,18 +158,18 @@ def _scan(graphs: Iterable[Graph], n: int, k: int,
         if is_fan_free(g, k):
             survivors.append((_degree_bound(g), g))
     survivors.sort(key=itemgetter(0), reverse=True)
-    top = _TopList(tol.margin)
+    top = _TopList()
     for bound, g in survivors:
-        if top.excludes(bound + tol.eigen):
+        if top.excludes(bound + EIGEN_ACCURACY):
             break
         top.offer(q1(g), lambda g=g: canonical_form(g).text)
     return top.entries, len(survivors), total
 
 
-def _scan_shard(args: tuple[int, int, int, int, Tolerances]):
-    n, k, index, count, tol = args
+def _scan_shard(args: tuple[int, int, int, int]):
+    n, k, index, count = args
     task = EnumerationTask(n, shard=(index, count))
-    return _scan(enumerate_graphs(task), n, k, tol)
+    return _scan(enumerate_graphs(task), n, k)
 
 
 def _tight_q1(g: Graph) -> float:
@@ -175,7 +177,6 @@ def _tight_q1(g: Graph) -> float:
 
 
 def certify_max_q1(n: int, k: int, source: Iterable[Graph] | None = None, *,
-                   tolerances: Tolerances | None = None,
                    jobs: int = 1) -> SearchCertificate:
     """Scan every isomorphism class of order ``n``, keep the fan-free
     ones, and certify the signless-Laplacian spectral-radius maximiser.
@@ -196,19 +197,18 @@ def certify_max_q1(n: int, k: int, source: Iterable[Graph] | None = None, *,
     if source is not None and jobs != 1:
         raise ValueError("a graph source cannot be combined with jobs above "
                          "1: a stream is scanned in one process")
-    tol = tolerances if tolerances is not None else DEFAULT_TOLERANCES
     t0 = time.perf_counter()
 
     if source is not None:
-        parts = [_scan(source, n, k, tol)]
+        parts = [_scan(source, n, k)]
     elif jobs == 1:
-        parts = [_scan_shard((n, k, 0, 1, tol))]
+        parts = [_scan_shard((n, k, 0, 1))]
     else:
         import multiprocessing
 
         with multiprocessing.Pool(jobs) as pool:
-            parts = pool.map(_scan_shard, [(n, k, i, jobs, tol) for i in range(jobs)])
-    top = _TopList(tol.margin)
+            parts = pool.map(_scan_shard, [(n, k, i, jobs) for i in range(jobs)])
+    top = _TopList()
     scanned = total = 0
     for entries, part_scanned, part_total in parts:
         top.merge(entries)
@@ -223,7 +223,7 @@ def certify_max_q1(n: int, k: int, source: Iterable[Graph] | None = None, *,
 
     entries = top.entries
     best_value = entries[0][0]
-    tied = [e for e in entries if best_value - e[0] <= tol.margin]
+    tied = [e for e in entries if best_value - e[0] <= MARGIN]
     if len(tied) == 1:
         unique = True
         winner_text, winner_value = tied[0][1], tied[0][0]
@@ -234,7 +234,7 @@ def certify_max_q1(n: int, k: int, source: Iterable[Graph] | None = None, *,
             ((_tight_q1(graph6_decode(text)), text) for _, text in tied),
             key=lambda t: (-t[0], t[1]))
         tight_best = refined[0][0]
-        survivors = [e for e in refined if tight_best - e[0] <= tol.margin_tight]
+        survivors = [e for e in refined if tight_best - e[0] <= MARGIN_TIGHT]
         unique = len(survivors) == 1
         winner_value, winner_text = survivors[0]
 
@@ -242,7 +242,7 @@ def certify_max_q1(n: int, k: int, source: Iterable[Graph] | None = None, *,
     if not is_fan_free(winner_graph, k):
         raise RuntimeError("internal error: winner failed the fan-free re-check")
     independent = rayleigh_power_lambda1(signless_laplacian(winner_graph))
-    if abs(independent - winner_value) > tol.eigen:
+    if abs(independent - winner_value) > EIGEN_ACCURACY:
         raise RuntimeError(
             f"eigensolver disagreement on winner: {winner_value} vs "
             f"power-iteration {independent}")
@@ -259,8 +259,7 @@ def certify_max_q1(n: int, k: int, source: Iterable[Graph] | None = None, *,
         near_maximal=tuple((t, v) for v, t in entries),
         scanned=scanned, total=total,
         elapsed=time.perf_counter() - t0,
-        in_theorem_regime=theorem_regime(n, k),
-        tolerances=tol)
+        in_theorem_regime=theorem_regime(n, k))
 
 
 # -- brute-force edge maxima -------------------------------------------
@@ -402,7 +401,6 @@ def _sig15(x: float) -> float:
 
 
 def _certificate_payload(cert: SearchCertificate) -> dict:
-    tol = cert.tolerances
     return {
         "n": cert.n,
         "k": cert.k,
@@ -421,9 +419,9 @@ def _certificate_payload(cert: SearchCertificate) -> dict:
         "elapsed": _sig15(cert.elapsed),
         "in_theorem_regime": cert.in_theorem_regime,
         "tolerances": {
-            "eigen": _sig15(tol.eigen),
-            "margin": _sig15(tol.margin),
-            "margin_tight": _sig15(tol.margin_tight),
+            "eigen": _sig15(EIGEN_ACCURACY),
+            "margin": _sig15(MARGIN),
+            "margin_tight": _sig15(MARGIN_TIGHT),
         },
     }
 

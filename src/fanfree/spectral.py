@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .graphs import Graph, bits, induced_subgraph, second_neighborhood
 
 # Jacobi sweeps stop once the off-diagonal Frobenius norm drops below
@@ -23,6 +22,10 @@ from .graphs import Graph, bits, induced_subgraph, second_neighborhood
 # input is an internal error, not a user-facing condition.
 JACOBI_OFF_FACTOR = 1e-12
 JACOBI_SWEEP_BUDGET = 100
+# Absolute accuracy demanded of a returned eigenvalue: the slack of
+# eigenvalue comparisons and of the certificate's bound pruning and
+# independent cross-check of the winner.
+EIGEN_ACCURACY = 1e-9
 # Slack for testing equitability of float-valued matrices (integer
 # matrices are compared exactly).
 EQUITABLE_SLACK = 1e-12
@@ -164,8 +167,6 @@ def spectrum(m: SymMatrix, *, _off_factor: float = JACOBI_OFF_FACTOR) -> Spectru
     a = np.array(m.entries, dtype=np.float64)
     n = a.shape[0]
     off_target = _off_factor * n
-    if n == 1:
-        return SpectrumResult((float(a[0, 0]),), 0.0, 0)
     off, sweeps = _jacobi(a, off_target, JACOBI_SWEEP_BUDGET)
     if off > off_target:
         raise RuntimeError(
@@ -333,14 +334,13 @@ def split_quotient(n: int, k: int) -> QuotientMatrix:
     return quotient(signless_laplacian(g), part)
 
 
-def perron_dominance(m1: SymMatrix, m2: SymMatrix,
-                     tolerances: Tolerances = DEFAULT_TOLERANCES) -> bool:
+def perron_dominance(m1: SymMatrix, m2: SymMatrix) -> bool:
     """Monotonicity of the dominant eigenvalue under entrywise domination.
 
     For nonnegative symmetric matrices with ``m1 - m2`` nonnegative, the
     standard monotonicity result (Horn and Johnson, Corollary 8.1.19)
     gives ``lambda_1(m1) >= lambda_1(m2)``; this evaluates both sides and
-    returns the comparison within the eigen tolerance.  Precondition
+    returns the comparison within ``EIGEN_ACCURACY``.  Precondition
     violations report the offending entry.
     """
     if m1.order != m2.order:
@@ -358,7 +358,7 @@ def perron_dominance(m1: SymMatrix, m2: SymMatrix,
             f"m1-m2 is negative at [{i},{j}]: {m1.entries[i, j]} < {m2.entries[i, j]}")
     lam1 = spectrum(m1).eigenvalues[0]
     lam2 = spectrum(m2).eigenvalues[0]
-    return lam1 >= lam2 - tolerances.eigen
+    return lam1 >= lam2 - EIGEN_ACCURACY
 
 
 def eq1_identity(g: Graph, v: int) -> tuple[int, int, bool]:

@@ -11,8 +11,8 @@ import pytest
 
 import fanfree
 import fanfree.cli
-from fanfree.cli import main
-from fanfree.enumeration import EnumerationTask, enumerate_graphs
+from fanfree.cli import _split_parameter, main
+from fanfree.enumeration import EnumerationTask, canonical_form, enumerate_graphs
 from fanfree.graphs import graph6_encode, make_split
 
 SPLIT_10_2 = graph6_encode(make_split(10, 2))
@@ -148,7 +148,7 @@ def test_certify_jobs_and_shards_flags(capsys, monkeypatch, tmp_path):
     cert = fanfree.cli.certify_max_q1(5, 2)
     seen = []
 
-    def fake(n, k, source, *, tolerances, jobs):
+    def fake(n, k, source, *, jobs):
         seen.append(jobs)
         return cert
 
@@ -239,6 +239,16 @@ def test_bounds_subcommand(capsys, monkeypatch):
     assert rows[1]["merris"] == 4 and rows[1]["merris_vertex"] == 0
 
 
+def test_split_parameter_exhaustive():
+    # the degree test alone must name exactly the k whose S(n, k) is the
+    # graph's class
+    for n in range(1, 8):
+        splits = {canonical_form(make_split(n, k)): k for k in range(1, n)}
+        for g in enumerate_graphs(EnumerationTask(n)):
+            assert _split_parameter(g) == splits.get(canonical_form(g)), \
+                graph6_encode(g)
+
+
 def test_construct_subcommand(capsys):
     code, out, _ = run_cli(capsys, ["construct", "--n", "11", "--k", "3"])
     assert code == 0
@@ -260,6 +270,13 @@ def test_config_file_defaults_and_flag_priority(capsys, tmp_path):
                                     "--n", "3", "--format", "tsv"])
     assert code == 0
     assert len(out.splitlines()) == 4
+    # values pass through their flag's type; a switch takes a boolean
+    cfg.write_text(json.dumps({"n": "4", "connected-only": True,
+                               "format": "json"}))
+    code, out, _ = run_cli(capsys, ["--config", str(cfg), "enumerate"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["n"] == 4 and data["connected_only"] and data["count"] == 6
     # a key the chosen command does not take is an error that names it
     cfg.write_text(json.dumps({"tol_eigen": 0.5, "shardz": 3}))
     code, out, err = run_cli(capsys, ["--config", str(cfg), "q1"])
@@ -267,13 +284,35 @@ def test_config_file_defaults_and_flag_priority(capsys, tmp_path):
     assert "shardz" in err and "tol_eigen" in err
 
 
+@pytest.mark.parametrize("argv,config,key", [
+    (["enumerate"], {"n": 3.5}, "n"),
+    (["q1"], {"format": "xml"}, "format"),
+    (["certify", "--n", "6"], {"k": 2.5}, "k"),
+    (["certify", "--n", "6", "--k", "2"], {"jobs": 1.5}, "jobs"),
+    (["certify", "--n", "6", "--k", "2"], {"jobs": True}, "jobs"),
+    (["enumerate", "--n", "4"], {"connected-only": 1}, "connected-only"),
+    (["q1"], {"fail_fast": "no"}, "fail_fast"),
+    (["q1"], {"output": None}, "output"),
+])
+def test_config_value_checked_as_its_flag(capsys, tmp_path, argv, config, key):
+    # a config value passes its flag's type and choices, or exits 1
+    # naming the key
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, ["--config", str(cfg)] + argv)
+    assert code == 1 and out == ""
+    assert f"config key {key!r}" in err
+
+
 def test_bad_flag_is_operational_error(capsys):
     code, _, err = run_cli(capsys, ["q1", "--no-such-flag"])
     assert code == 1
-    # the tolerance flags belong to certify; q1 and bounds read none of them
-    for command in ("q1", "bounds"):
-        code, _, err = run_cli(capsys, [command, "--tol-eigen", "1"])
-        assert code == 1 and "--tol-eigen" in err
+    # the tolerances are fixed constants: no command takes a flag for them
+    for argv in (["q1", "--tol-eigen", "1"], ["bounds", "--tol-eigen", "1"],
+                 ["certify", "--n", "5", "--k", "2", "--tol-eigen", "1"],
+                 ["certify", "--n", "5", "--k", "2", "--tol-margin", "1"]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and argv[-2] in err and out == "", argv
     code, _, err = run_cli(capsys, ["certify", "--n", "5"])  # missing --k
     assert code == 1
 

@@ -91,6 +91,10 @@ def test_task_validation():
         EnumerationTask(5, shard=(3, 3))
     with pytest.raises(ValueError):
         EnumerationTask(5, shard=(-1, 2))
+    # a non-integer order would never reach its last level
+    for n in (3.5, 4.0, "4"):
+        with pytest.raises(ValueError, match="integer"):
+            EnumerationTask(n)
 
 
 def test_canonical_form_invariance():

@@ -4,21 +4,19 @@ import io
 import json
 import math
 import random
-from dataclasses import fields
 
 import pytest
 
 from fanfree import search
-from fanfree.config import DEFAULT_TOLERANCES, Tolerances
 from fanfree.enumeration import EnumerationTask, canonical_form, enumerate_graphs
 from fanfree.fans import is_fan_free
 from fanfree.graphs import graph6_decode, make_split
 from fanfree.matching import ForbiddenPattern, Regime, turan_kk2
-from fanfree.search import (ConstructionSpec, certify_max_q1,
-                            certificate_payload, efgg_construction,
-                            efgg_in_regime, efgg_value, emit_certificate,
-                            theorem_regime, turan_bruteforce)
-from fanfree.spectral import q1_split_closed_form
+from fanfree.search import (MARGIN, MARGIN_TIGHT, ConstructionSpec,
+                            certify_max_q1, certificate_payload,
+                            efgg_construction, efgg_in_regime, efgg_value,
+                            emit_certificate, theorem_regime, turan_bruteforce)
+from fanfree.spectral import EIGEN_ACCURACY, q1_split_closed_form
 
 from helpers import naive_contains_fan, numpy_q1
 
@@ -93,7 +91,8 @@ def test_certify_rejects_bad_jobs():
 
 def test_tolerances_are_what_the_certificate_records():
     payload = certificate_payload(certify_max_q1(4, 2))
-    assert [f.name for f in fields(Tolerances)] == list(payload["tolerances"])
+    assert list(payload["tolerances"].items()) == [
+        ("eigen", EIGEN_ACCURACY), ("margin", MARGIN), ("margin_tight", MARGIN_TIGHT)]
 
 
 @pytest.fixture(scope="module")
@@ -103,11 +102,10 @@ def classes_7_8():
 
 @pytest.mark.parametrize("n,k", [(7, 2), (7, 3), (8, 2), (8, 3)])
 def test_bound_pruned_scan_matches_full_scan(classes_7_8, monkeypatch, n, k):
-    tol = DEFAULT_TOLERANCES
-    pruned, scanned, total = search._scan(classes_7_8[n], n, k, tol)
+    pruned, scanned, total = search._scan(classes_7_8[n], n, k)
     # an infinite bound never excludes anything: every survivor is solved
     monkeypatch.setattr(search, "_degree_bound", lambda g: math.inf)
-    full, full_scanned, full_total = search._scan(classes_7_8[n], n, k, tol)
+    full, full_scanned, full_total = search._scan(classes_7_8[n], n, k)
     assert pruned == full
     assert (scanned, total) == (full_scanned, full_total)
     assert len(full) >= 5

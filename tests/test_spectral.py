@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanfree.config import DEFAULT_TOLERANCES, Tolerances
 from fanfree.enumeration import EnumerationTask, enumerate_graphs
 from fanfree.graphs import (complete_bipartite, complete_graph, cycle_graph,
                             disjoint_union, empty_graph, graph6_decode,
                             graph6_encode, make_split, path_graph)
-from fanfree.spectral import (JACOBI_OFF_FACTOR, JACOBI_SWEEP_BUDGET,
-                              QuotientMatrix, SymMatrix, VertexPartition,
+from fanfree.spectral import (EIGEN_ACCURACY, JACOBI_OFF_FACTOR,
+                              JACOBI_SWEEP_BUDGET, QuotientMatrix,
+                              SpectrumResult, SymMatrix, VertexPartition,
                               _degree_bound,
                               eq1_identity, merris_bound, perron_dominance, q1,
                               q1_split_closed_form, q1_split_lower_bound,
@@ -61,17 +61,18 @@ def test_spectrum_known_closed_forms():
 
 
 def test_spectrum_convergence_reporting():
-    res = spectrum(signless_laplacian(complete_graph(5)))
-    assert res.offdiag_residual <= JACOBI_OFF_FACTOR * 5
-    assert res.sweeps <= JACOBI_SWEEP_BUDGET
     # D{O: already diagonal after a few sweeps; its off-diagonal norm must
-    # not be lost to cancellation against the diagonal.
-    m = signless_laplacian(graph6_decode("D{O"))
-    res = spectrum(m)
-    assert res.offdiag_residual <= JACOBI_OFF_FACTOR * 5
-    assert res.sweeps <= JACOBI_SWEEP_BUDGET
-    expected = np.linalg.eigvalsh(m.entries)[::-1]
-    assert np.max(np.abs(np.array(res.eigenvalues) - expected)) < 1e-12
+    # not be lost to cancellation against the diagonal.  A 1x1 matrix is
+    # diagonal from the start.
+    for m in (signless_laplacian(complete_graph(5)),
+              signless_laplacian(graph6_decode("D{O")),
+              SymMatrix(np.array([[2.5]]))):
+        res = spectrum(m)
+        assert res.offdiag_residual <= JACOBI_OFF_FACTOR * m.order
+        assert res.sweeps <= JACOBI_SWEEP_BUDGET
+        expected = np.linalg.eigvalsh(m.entries)[::-1]
+        assert np.max(np.abs(np.array(res.eigenvalues) - expected)) < 1e-12
+    assert spectrum(SymMatrix(np.array([[2.5]]))) == SpectrumResult((2.5,), 0.0, 0)
 
 
 def test_rayleigh_power_matches_jacobi():
@@ -145,7 +146,7 @@ def test_degree_bound_covers_every_small_class():
     for n in range(1, 8):
         for g in enumerate_graphs(EnumerationTask(n)):
             bound = _degree_bound(g)
-            assert q1(g) <= bound + DEFAULT_TOLERANCES.eigen, graph6_encode(g)
+            assert q1(g) <= bound + EIGEN_ACCURACY, graph6_encode(g)
             if all(g.degree(v) for v in range(n)):
                 assert bound == merris_bound(g)[0]
     assert _degree_bound(empty_graph(4)) == 0.0
