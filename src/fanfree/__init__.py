@@ -16,7 +16,8 @@ from .graphs import (MAX_VERTICES, Graph, Graph6Error, complete_bipartite,
                      complete_graph, circulant_graph, cut_edges, cycle_graph,
                      disjoint_union, empty_graph, from_edges, graph6_decode,
                      graph6_encode, induced_subgraph, join, make_fan,
-                     make_split, path_graph, second_neighborhood)
+                     make_split, path_graph, second_neighborhood,
+                     split_parameter)
 from .matching import (ForbiddenPattern, MatchingResult, Regime, TuranRecord,
                        is_kk2_free, matching_number, max_edges_matching,
                        turan_kk2)
@@ -41,7 +42,7 @@ __all__ = [
     "complete_bipartite", "complete_graph", "circulant_graph", "cut_edges",
     "cycle_graph", "disjoint_union", "empty_graph", "from_edges",
     "graph6_decode", "graph6_encode", "induced_subgraph", "join", "make_fan",
-    "make_split", "path_graph", "second_neighborhood",
+    "make_split", "path_graph", "second_neighborhood", "split_parameter",
     "ForbiddenPattern", "MatchingResult", "Regime", "TuranRecord",
     "is_kk2_free", "matching_number", "max_edges_matching", "turan_kk2",
     "ConstructionSpec", "SearchCertificate", "certificate_payload",

@@ -21,7 +21,7 @@ from typing import Iterable
 from .enumeration import (EnumerationTask, canonical_form, enumerate_graphs,
                           stream_graph6, write_graph6)
 from .fans import contains_fan
-from .graphs import Graph, Graph6Error, graph6_encode
+from .graphs import Graph, graph6_encode, split_parameter
 from .matching import ForbiddenPattern
 from .search import (_sig15, certify_max_q1, certificate_payload,
                      efgg_construction, efgg_in_regime, efgg_value,
@@ -80,43 +80,23 @@ def _cell(v, sep: str = ",") -> str:
     return str(v)
 
 
-def _write(args: argparse.Namespace, payload, columns: list[str] | None = None) -> None:
+def _write(args: argparse.Namespace, payload) -> None:
     """Write ``payload`` to ``--output`` in ``--format``.
 
-    JSON dumps the payload itself.  TSV gives one line per row over
-    ``columns`` when the payload is a list of rows, else one key/value
-    line per entry of the payload dict.
+    JSON dumps the payload itself.  TSV gives one line of cells per row
+    dict when the payload is a list of rows, else one key/value line per
+    entry of the payload dict.
     """
     with _opened(args.output, "w") as sink:
         if args.format == "json":
             json.dump(payload, sink, indent=2)
             sink.write("\n")
-        elif columns is not None:
+        elif isinstance(payload, list):
             for row in payload:
-                sink.write("\t".join(_cell(row[col]) for col in columns) + "\n")
+                sink.write("\t".join(_cell(v) for v in row.values()) + "\n")
         else:
             for key, v in payload.items():
                 sink.write(f"{key}\t{_cell(v, ';')}\n")
-
-
-def _split_parameter(g: Graph) -> int | None:
-    """k such that the graph is the complete split graph S_{n,k}, else None.
-
-    Degrees decide it: when k vertices have degree n-1 and the other n-k
-    have degree k, each of the n-k is adjacent to the k full vertices and
-    to nothing else.
-    """
-    n = g.n
-    if n < 2:
-        return None
-    degs = sorted(g.degree(v) for v in range(n))
-    full = sum(1 for d in degs if d == n - 1)
-    if full == 0:
-        return None
-    k = n - 1 if full == n else full
-    if degs != sorted([k] * (n - k) + [n - 1] * k):
-        return None
-    return k
 
 
 # -- subcommand bodies -------------------------------------------------
@@ -126,7 +106,7 @@ def _cmd_q1(args) -> int:
     rows = [{"graph6": graph6_encode(g), "n": g.n, "e": g.edge_count(),
              "q1": _sig15(q1(g))}
             for g in _read_graphs(args.input, args.fail_fast)]
-    _write(args, rows, ["graph6", "n", "e", "q1"])
+    _write(args, rows)
     return EXIT_OK
 
 
@@ -137,14 +117,12 @@ def _cmd_fan_free(args) -> int:
         rows.append({"graph6": graph6_encode(g),
                      "fan_free": witness is None,
                      "center": None if witness is None else witness.center})
-    _write(args, rows, ["graph6", "fan_free", "center"])
+    _write(args, rows)
     return EXIT_OK
 
 
 def _cmd_certify(args) -> int:
-    source = None
-    if args.input is not None:
-        source = list(_read_graphs(args.input, args.fail_fast))
+    source = None if args.input is None else _read_graphs(args.input, args.fail_fast)
     cert = certify_max_q1(args.n, args.k, source, jobs=args.jobs)
     logger.info("certify n=%d k=%d: scanned %d fan-free of %d classes in %.2fs",
                 cert.n, cert.k, cert.scanned, cert.total, cert.elapsed)
@@ -178,9 +156,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_turan(args) -> int:
     pattern = ForbiddenPattern(args.pattern, args.k)
-    source = None
-    if args.input is not None:
-        source = list(_read_graphs(args.input, args.fail_fast))
+    source = None if args.input is None else _read_graphs(args.input, args.fail_fast)
     record = turan_bruteforce(args.n, pattern, source)
     payload = certificate_payload(record)
     if pattern.kind == "kk2":
@@ -202,7 +178,7 @@ def _cmd_bounds(args) -> int:
         if all(g.adj):
             bound, vertex = merris_bound(g)
             merris = _sig15(bound)
-        k = _split_parameter(g)
+        k = split_parameter(g)
         closed = lower = None
         if k is not None:
             closed = _sig15(q1_split_closed_form(g.n, k))
@@ -212,8 +188,7 @@ def _cmd_bounds(args) -> int:
                      "q1": _sig15(q1(g)), "merris": merris,
                      "merris_vertex": vertex, "split_k": k,
                      "split_closed_form": closed, "split_lower_bound": lower})
-    _write(args, rows, ["graph6", "n", "e", "q1", "merris", "merris_vertex",
-                        "split_k", "split_closed_form", "split_lower_bound"])
+    _write(args, rows)
     return EXIT_OK
 
 
@@ -231,7 +206,7 @@ def _cmd_construct(args) -> int:
 # -- parser ------------------------------------------------------------
 
 
-def _add_io(p: _Parser, *, with_input: bool = True) -> None:
+def _add_io(p: _Parser, fmt: str, *, with_input: bool = True) -> None:
     if with_input:
         p.add_argument("--input", "-i", help="graph6 input file (default stdin)")
         p.add_argument("--fail-fast", action=argparse.BooleanOptionalAction,
@@ -239,7 +214,7 @@ def _add_io(p: _Parser, *, with_input: bool = True) -> None:
                        help="stop at the first malformed line (default) or "
                             "skip it with a log message")
     p.add_argument("--output", "-o", help="output file (default stdout)")
-    p.add_argument("--format", choices=("json", "tsv"), default=None,
+    p.add_argument("--format", choices=("json", "tsv"), default=fmt,
                    help="output format")
 
 
@@ -253,13 +228,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("q1", help="signless-Laplacian spectral "
                        "radius per input graph")
-    _add_io(p)
-    p.set_defaults(run=_cmd_q1, default_format="tsv")
+    _add_io(p, "tsv")
+    p.set_defaults(run=_cmd_q1)
 
     p = sub.add_parser("fan-free", help="fan containment per input graph")
     p.add_argument("--k", type=int, help="fan parameter")
-    _add_io(p)
-    p.set_defaults(run=_cmd_fan_free, default_format="tsv", required_flags=("k",))
+    _add_io(p, "tsv")
+    p.set_defaults(run=_cmd_fan_free, required_flags=("k",))
 
     p = sub.add_parser("certify", help="exhaustively certify the spectral "
                        "maximiser among fan-free graphs")
@@ -268,9 +243,8 @@ def build_parser() -> _Parser:
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes, each scanning one round-robin "
                         "enumeration shard (default 1)")
-    _add_io(p)
-    p.set_defaults(run=_cmd_certify, default_format="json",
-                   required_flags=("n", "k"))
+    _add_io(p, "json")
+    p.set_defaults(run=_cmd_certify, required_flags=("n", "k"))
 
     p = sub.add_parser("enumerate", help="stream one representative per "
                        "isomorphism class")
@@ -278,30 +252,27 @@ def build_parser() -> _Parser:
     p.add_argument("--connected-only", action="store_true")
     p.add_argument("--shards", type=int, default=None)
     p.add_argument("--shard-index", type=int, default=None)
-    _add_io(p, with_input=False)
-    p.set_defaults(run=_cmd_enumerate, default_format="tsv",
-                   required_flags=("n",))
+    _add_io(p, "tsv", with_input=False)
+    p.set_defaults(run=_cmd_enumerate, required_flags=("n",))
 
     p = sub.add_parser("turan", help="brute-force pattern-free edge maximum "
                        "with formula cross-check")
     p.add_argument("--n", type=int, help="graph order")
     p.add_argument("--pattern", choices=("kk2", "fan"))
     p.add_argument("--k", type=int)
-    _add_io(p)
-    p.set_defaults(run=_cmd_turan, default_format="json",
-                   required_flags=("n", "pattern", "k"))
+    _add_io(p, "json")
+    p.set_defaults(run=_cmd_turan, required_flags=("n", "pattern", "k"))
 
     p = sub.add_parser("bounds", help="per-graph spectral radius, degree "
                        "bound, and split-graph closed forms")
-    _add_io(p)
-    p.set_defaults(run=_cmd_bounds, default_format="tsv")
+    _add_io(p, "tsv")
+    p.set_defaults(run=_cmd_bounds)
 
     p = sub.add_parser("construct", help="edge-maximal fan-free construction")
     p.add_argument("--n", type=int, help="graph order")
     p.add_argument("--k", type=int)
-    _add_io(p, with_input=False)
-    p.set_defaults(run=_cmd_construct, default_format="json",
-                   required_flags=("n", "k"))
+    _add_io(p, "json", with_input=False)
+    p.set_defaults(run=_cmd_construct, required_flags=("n", "k"))
 
     return parser
 
@@ -357,14 +328,8 @@ def main(argv: list[str] | None = None) -> int:
         for name in getattr(args, "required_flags", ()):
             if getattr(args, name, None) is None:
                 raise _UsageError(f"--{name.replace('_', '-')} is required")
-        if args.format is None:
-            args.format = args.default_format
         return args.run(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (Graph6Error, ValueError, OSError, RuntimeError,
-            json.JSONDecodeError) as exc:
+    except (_UsageError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -227,6 +227,26 @@ def make_split(n: int, k: int) -> Graph:
     return join(complete_graph(k), empty_graph(n - k))
 
 
+def split_parameter(g: Graph) -> int | None:
+    """k such that the graph is the complete split graph S(n, k), else None.
+
+    Degrees decide it: when k vertices have degree n-1 and the other n-k
+    have degree k, each of the n-k is adjacent to the k full vertices and
+    to nothing else.
+    """
+    n = g.n
+    if n < 2:
+        return None
+    degs = sorted(g.degree(v) for v in range(n))
+    full = sum(1 for d in degs if d == n - 1)
+    if full == 0:
+        return None
+    k = n - 1 if full == n else full
+    if degs != sorted([k] * (n - k) + [n - 1] * k):
+        return None
+    return k
+
+
 def make_fan(k: int) -> Graph:
     """k-fan: k triangles sharing exactly one common vertex.
 

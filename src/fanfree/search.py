@@ -14,6 +14,7 @@ uniqueness is asserted.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 from operator import itemgetter
@@ -21,7 +22,8 @@ from typing import Iterable, TextIO
 
 from .enumeration import EnumerationTask, canonical_form, enumerate_graphs
 from .fans import is_fan_free
-from .graphs import Graph, complete_bipartite, graph6_decode, make_split
+from .graphs import (Graph, circulant_graph, complete_graph, disjoint_union,
+                     empty_graph, graph6_decode, join, split_parameter)
 from .matching import ForbiddenPattern, Regime, TuranRecord, is_kk2_free, turan_kk2
 from .spectral import (EIGEN_ACCURACY, _degree_bound, q1,
                        rayleigh_power_lambda1, signless_laplacian, spectrum)
@@ -106,48 +108,27 @@ def theorem_regime(n: int, k: int) -> bool:
 # -- scan --------------------------------------------------------------
 
 
-class _TopList:
-    """Descending (q1, canonical graph6) entries: the best five plus any
-    further entries within MARGIN of the best."""
-
-    def __init__(self) -> None:
-        self.entries: list[tuple[float, str]] = []
-
-    def excludes(self, value: float) -> bool:
-        """Whether an offer of ``value``, or of anything smaller, is
-        dropped now and at every later point."""
-        e = self.entries
-        return len(e) >= 5 and value < e[-1][0] and value < e[0][0] - MARGIN
-
-    def offer(self, value: float, make_text) -> None:
-        if self.excludes(value):
-            return
-        self.entries.append((value, make_text()))
-        self._trim()
-
-    def merge(self, entries: list[tuple[float, str]]) -> None:
-        if entries:
-            self.entries.extend(entries)
-            self._trim()
-
-    def _trim(self) -> None:
-        self.entries.sort(key=lambda t: (-t[0], t[1]))
-        top = self.entries[0][0]
-        keep = [t for i, t in enumerate(self.entries)
-                if i < 5 or t[0] >= top - MARGIN]
-        self.entries = keep
+def _trim(entries: list[tuple[float, str]]) -> list[tuple[float, str]]:
+    """(q1, canonical graph6) entries sorted by descending q1, then text:
+    the first five plus every further entry within MARGIN of the best."""
+    ranked = sorted(entries, key=lambda t: (-t[0], t[1]))
+    return [t for i, t in enumerate(ranked)
+            if i < 5 or t[0] >= ranked[0][0] - MARGIN]
 
 
 def _scan(graphs: Iterable[Graph], n: int,
           k: int) -> tuple[list[tuple[float, str]], int, int]:
-    """Top-list entries of the fan-free graphs, with the fan-free and
+    """``_trim`` of the fan-free graphs' entries, with the fan-free and
     total counts.
 
     The fan-free graphs are eigensolved in descending order of their
-    degree bound, stopping at the first whose bound (plus the
-    eigensolver's accuracy) the list already excludes, since every later
-    bound is no larger.  The final list does not depend on the order of
-    offers, so it equals that of a scan that eigensolves every graph.
+    degree bound.  Once five are solved, let floor be the smaller of the
+    fifth-best q1 and the best q1 minus MARGIN: ``_trim`` drops every
+    entry below floor, and floor never falls.  The scan stops at the
+    first graph whose bound plus the eigensolver's accuracy is below
+    floor, since every later bound is no larger, and only the solved
+    graphs at or above the final floor are canonicalised.  So the result
+    equals that of a scan that eigensolves every graph.
     """
     survivors: list[tuple[float, Graph]] = []
     total = 0
@@ -158,12 +139,20 @@ def _scan(graphs: Iterable[Graph], n: int,
         if is_fan_free(g, k):
             survivors.append((_degree_bound(g), g))
     survivors.sort(key=itemgetter(0), reverse=True)
-    top = _TopList()
+    solved: list[tuple[float, Graph]] = []
+    top: list[float] = []  # the five largest q1 values so far, descending
+    floor = -math.inf
     for bound, g in survivors:
-        if top.excludes(bound + EIGEN_ACCURACY):
+        if bound + EIGEN_ACCURACY < floor:
             break
-        top.offer(q1(g), lambda g=g: canonical_form(g).text)
-    return top.entries, len(survivors), total
+        value = q1(g)
+        solved.append((value, g))
+        top = sorted(top + [value], reverse=True)[:5]
+        if len(top) == 5:
+            floor = min(top[4], top[0] - MARGIN)
+    entries = [(value, canonical_form(g).text) for value, g in solved
+               if value >= floor]
+    return _trim(entries), len(survivors), total
 
 
 def _scan_shard(args: tuple[int, int, int, int]):
@@ -208,20 +197,16 @@ def certify_max_q1(n: int, k: int, source: Iterable[Graph] | None = None, *,
 
         with multiprocessing.Pool(jobs) as pool:
             parts = pool.map(_scan_shard, [(n, k, i, jobs) for i in range(jobs)])
-    top = _TopList()
-    scanned = total = 0
-    for entries, part_scanned, part_total in parts:
-        top.merge(entries)
-        scanned += part_scanned
-        total += part_total
+    entries = _trim([e for part_entries, _, _ in parts for e in part_entries])
+    scanned = sum(part[1] for part in parts)
+    total = sum(part[2] for part in parts)
 
     if total == 0:
         raise RuntimeError("empty survivor set: the source yielded no graphs")
-    if not top.entries:
+    if not entries:
         raise RuntimeError(f"empty survivor set: none of the {total} graphs "
                            f"read is {k}-fan-free")
 
-    entries = top.entries
     best_value = entries[0][0]
     tied = [e for e in entries if best_value - e[0] <= MARGIN]
     if len(tied) == 1:
@@ -249,8 +234,7 @@ def certify_max_q1(n: int, k: int, source: Iterable[Graph] | None = None, *,
 
     runner_up = next((v for v, t in entries if t != winner_text), None)
     margin = None if runner_up is None else max(winner_value - runner_up, 0.0)
-    split_form = canonical_form(make_split(n, k)).text if k < n else None
-    winner_is_split = unique and winner_text == split_form
+    winner_is_split = unique and split_parameter(winner_graph) == k
 
     return SearchCertificate(
         n=n, k=k, winner=winner_text, winner_q1=winner_value,
@@ -347,42 +331,26 @@ def efgg_construction(n: int, k: int) -> tuple[Graph, ConstructionSpec]:
         raise ValueError(
             f"{'odd' if odd else 'even'} k={k} requires n >= {threshold}, got {n}")
 
-    small = n // 2
-    g = complete_bipartite(small, n - small)  # larger side is small..n-1
-    host = list(range(small, n))
-
-    embedded_edges: list[tuple[int, int]] = []
     if odd:
-        size = 2 * k
-        for block in (host[:k], host[k:2 * k]):
-            for i in range(k):
-                for j in range(i + 1, k):
-                    embedded_edges.append((block[i], block[j]))
+        embedded = disjoint_union(complete_graph(k), complete_graph(k))
         label = f"two disjoint K_{k} copies"
     else:
-        size = 2 * k - 1
-        part = host[:size]
-        for off in range(1, (k - 2) // 2 + 1):
-            for i in range(size):
-                a, b = part[i], part[(i + off) % size]
-                embedded_edges.append((min(a, b), max(a, b)))
+        embedded = circulant_graph(2 * k - 1, range(1, (k - 2) // 2 + 1))
         for i in range(k - 1):
-            embedded_edges.append((part[i], part[i + k - 1]))
-        label = (f"near-regular graph on {size} vertices: circulant layer "
+            embedded = embedded.with_edge(i, i + k - 1)
+        label = (f"near-regular graph on {2 * k - 1} vertices: circulant layer "
                  f"plus a matching, one vertex of degree {k - 2}")
-
-    for a, b in embedded_edges:
-        g = g.with_edge(a, b)
-
-    degree = {v: 0 for v in host[:size]}
-    for a, b in embedded_edges:
-        degree[a] += 1
-        degree[b] += 1
     spec = ConstructionSpec(
         n=n, k=k, parity="odd" if odd else "even", embedded=label,
-        embedded_vertex_count=size,
-        embedded_edge_count=len(embedded_edges),
-        embedded_max_degree=max(degree.values()) if degree else 0)
+        embedded_vertex_count=embedded.n,
+        embedded_edge_count=embedded.edge_count(),
+        embedded_max_degree=embedded.degree_sequence()[0])
+
+    # the embedded part opens the larger side of the near-equal bipartition
+    small = n // 2
+    rest = n - small - embedded.n
+    larger = embedded if rest == 0 else disjoint_union(embedded, empty_graph(rest))
+    g = join(empty_graph(small), larger)
 
     expect = efgg_value(n, k)
     if g.edge_count() != expect:

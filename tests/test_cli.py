@@ -11,8 +11,8 @@ import pytest
 
 import fanfree
 import fanfree.cli
-from fanfree.cli import _split_parameter, main
-from fanfree.enumeration import EnumerationTask, canonical_form, enumerate_graphs
+from fanfree.cli import main
+from fanfree.enumeration import EnumerationTask, enumerate_graphs
 from fanfree.graphs import graph6_encode, make_split
 
 SPLIT_10_2 = graph6_encode(make_split(10, 2))
@@ -140,6 +140,11 @@ def test_certify_jobs_and_shards_flags(capsys, monkeypatch, tmp_path):
         assert code == 1 and "at least 1" in err
     code, _, err = run_cli(capsys, base + ["--input", str(path), "--jobs", "2"])
     assert code == 1 and "source" in err and "jobs" in err
+    # the stream is refused before any line of it is read
+    bad = tmp_path / "bad.g6"
+    bad.write_text("!!!\n")
+    code, _, err = run_cli(capsys, base + ["--input", str(bad), "--jobs", "2"])
+    assert code == 1 and "jobs" in err and "line 1" not in err
     # --jobs alone sets the split: certify takes no --shards
     for flags in (["--shards", "1"], ["--shards", "2"], ["--jobs", "2", "--shards", "4"]):
         code, out, err = run_cli(capsys, base + flags)
@@ -239,16 +244,6 @@ def test_bounds_subcommand(capsys, monkeypatch):
     assert rows[1]["merris"] == 4 and rows[1]["merris_vertex"] == 0
 
 
-def test_split_parameter_exhaustive():
-    # the degree test alone must name exactly the k whose S(n, k) is the
-    # graph's class
-    for n in range(1, 8):
-        splits = {canonical_form(make_split(n, k)): k for k in range(1, n)}
-        for g in enumerate_graphs(EnumerationTask(n)):
-            assert _split_parameter(g) == splits.get(canonical_form(g)), \
-                graph6_encode(g)
-
-
 def test_construct_subcommand(capsys):
     code, out, _ = run_cli(capsys, ["construct", "--n", "11", "--k", "3"])
     assert code == 0
@@ -322,6 +317,23 @@ def test_version_matches_pyproject():
     with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
         declared = re.search(r'^version = "([^"]+)"$', fh.read(), re.M).group(1)
     assert fanfree.__version__ == declared
+
+
+def test_readme_command_lines_parse():
+    # every documented command line is accepted as written, with the flags
+    # its subcommand requires, so the README cannot drift from the parser
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()
+             if line.startswith("fanfree ")]
+    assert lines
+    parser = fanfree.cli.build_parser()
+    for argv in lines:
+        args = parser.parse_args(argv[1:])
+        for name in getattr(args, "required_flags", ()):
+            assert getattr(args, name) is not None, argv
 
 
 def test_module_entry_point_runs():

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fanfree.enumeration import EnumerationTask, canonical_form, enumerate_graphs
 from fanfree.graphs import (MAX_VERTICES, Graph, Graph6Error,
                             complete_bipartite, complete_graph, circulant_graph,
                             cut_edges, cycle_graph, disjoint_union, empty_graph,
                             from_edges, graph6_decode, graph6_encode,
                             induced_subgraph, join, make_fan, make_split,
-                            path_graph, second_neighborhood)
+                            path_graph, second_neighborhood, split_parameter)
 
 from helpers import permuted, random_graph
 
@@ -74,6 +75,16 @@ def test_make_split_shape():
         make_split(4, 4)
     with pytest.raises(ValueError):
         make_split(4, 0)
+
+
+def test_split_recognition_exhaustive():
+    # the degree test alone must name exactly the k whose S(n, k) is the
+    # graph's class
+    for n in range(1, 8):
+        splits = {canonical_form(make_split(n, k)): k for k in range(1, n)}
+        for g in enumerate_graphs(EnumerationTask(n)):
+            assert split_parameter(g) == splits.get(canonical_form(g)), \
+                graph6_encode(g)
 
 
 def test_make_fan_shape():

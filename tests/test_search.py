@@ -10,7 +10,7 @@ import pytest
 from fanfree import search
 from fanfree.enumeration import EnumerationTask, canonical_form, enumerate_graphs
 from fanfree.fans import is_fan_free
-from fanfree.graphs import graph6_decode, make_split
+from fanfree.graphs import complete_bipartite, graph6_decode, make_split
 from fanfree.matching import ForbiddenPattern, Regime, turan_kk2
 from fanfree.search import (MARGIN, MARGIN_TIGHT, ConstructionSpec,
                             certify_max_q1, certificate_payload,
@@ -109,6 +109,17 @@ def test_bound_pruned_scan_matches_full_scan(classes_7_8, monkeypatch, n, k):
     assert pruned == full
     assert (scanned, total) == (full_scanned, full_total)
     assert len(full) >= 5
+
+
+def test_scan_keeps_near_ties_beyond_five(monkeypatch):
+    # seven triangle-free graphs within MARGIN of the best: all seven stay,
+    # including the two below the fifth-best value
+    graphs = [complete_bipartite(a, 14 - a) for a in range(1, 8)]
+    values = {g: 14 - i * MARGIN / 10 for i, g in enumerate(graphs)}
+    monkeypatch.setattr(search, "q1", values.__getitem__)
+    entries, scanned, total = search._scan(graphs, 14, 1)
+    assert [v for v, _ in entries] == sorted(values.values(), reverse=True)
+    assert (scanned, total) == (7, 7)
 
 
 def test_certify_rejects_bad_k():
