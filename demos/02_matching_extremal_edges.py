@@ -31,7 +31,7 @@ def main():
         raise SystemExit(f"need n >= {2 * k - 1} for k={k}")
     record = turan_bruteforce(n, ForbiddenPattern("kk2", k))
     value, _ = max_edges_matching(n, a)
-    print(f"\nbrute force over all classes at n={n}: {record.max_edges} edges, "
+    print(f"\nbrute force over the {k}K2-free classes at n={n}: {record.max_edges} edges, "
           f"{len(record.extremal)} extremal class(es)")
     for code in record.extremal:
         print("  ", code)

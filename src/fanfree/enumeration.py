@@ -7,7 +7,11 @@ vertex of a canonical code leaves a canonical code, so extending each
 canonical representative on n-1 vertices by one new last vertex over all
 neighbour subsets, and keeping exactly the extensions whose identity
 labelling is canonical, enumerates every isomorphism class once with no
-global dedup table.
+global dedup table.  The parent of a canonical class is that class minus
+its last vertex, so a walk restricted to a hereditary property (one
+closed under vertex deletion) may drop every parent that lacks it
+together with all its descendants: the PRUNE hook of orderly generation
+(McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
 
 One search serves both the canonicity test and the canonical form: a
 depth-first search for a lexicographically greater relabelling over
@@ -16,13 +20,19 @@ The canonicity test asks whether it finds none; the canonical form
 relabels by each greater order it finds until it finds none.  Each
 parent first rejects the extensions that already lose on the identity
 labelling, which is most of them, before any search runs.
+
+``count_classes`` counts the classes of an order without building them,
+so a pruned walk can still report how many classes exist.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
+import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 from .graphs import Graph, Graph6Error, graph6_decode, graph6_encode
 
@@ -230,12 +240,18 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 # -- exhaustive generation ---------------------------------------------
 
 
-def enumerate_graphs(task: EnumerationTask) -> Iterator[Graph]:
+def enumerate_graphs(task: EnumerationTask, *,
+                     hereditary: Callable[[Graph], bool] | None = None) -> Iterator[Graph]:
     """One canonically labelled representative per isomorphism class.
 
     Emission order is deterministic: depth-first over parents, children
     in ascending canonical-code order within each parent.  With a shard
     plan, parents on ``n-1`` vertices are distributed round-robin.
+
+    ``hereditary``, when given, is a property closed under vertex
+    deletion: a class on fewer than ``n`` vertices that lacks it is not
+    extended, so no class of order ``n`` containing it is built.  Classes
+    of order ``n`` are not tested; the caller tests what it keeps.
     """
     n = task.n
     if n == 1:
@@ -252,6 +268,8 @@ def enumerate_graphs(task: EnumerationTask) -> Iterator[Graph]:
         if m == n:
             yield rows
             return
+        if hereditary is not None and not hereditary(Graph._from_trusted(m, tuple(rows))):
+            return
         if m == n - 1 and shard is not None:
             idx = parent_counter
             parent_counter += 1
@@ -264,6 +282,36 @@ def enumerate_graphs(task: EnumerationTask) -> Iterator[Graph]:
         g = Graph._from_trusted(n, tuple(rows))
         if not task.connected_only or g.is_connected():
             yield g
+
+
+def count_classes(n: int) -> int:
+    """Number of isomorphism classes of graphs of order ``n``.
+
+    Burnside's lemma over S_n acting on vertex pairs (Harary and Palmer,
+    Graphical Enumeration, 1973): the classes are the average over
+    permutations of 2 to the number of pair cycles, and that number
+    depends only on the cycle type.  A cycle of length a contributes a//2
+    pair cycles, and two cycles of lengths a and b contribute gcd(a, b).
+    """
+    weighted = 0
+    for parts in _partitions(n, n):
+        pair_cycles = sum(a // 2 for a in parts) + sum(
+            math.gcd(a, b) for a, b in itertools.combinations(parts, 2))
+        centraliser = 1
+        for length, mult in Counter(parts).items():
+            centraliser *= length ** mult * math.factorial(mult)
+        weighted += (math.factorial(n) // centraliser) << pair_cycles
+    return weighted // math.factorial(n)
+
+
+def _partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of ``n`` into parts of at most ``largest``, largest first."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
 
 
 # -- graph6 streaming --------------------------------------------------

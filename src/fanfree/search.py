@@ -1,14 +1,14 @@
 """Exhaustive extremal certification, brute-force edge maxima, and
 closed-form extremal constructions with self-checked builders.
 
-The flagship routine scans every isomorphism class of a given order,
-keeps the fan-free ones, eigensolves those whose degree bound does not
-already rule them out of the top values, and certifies the
-spectral-radius maximiser together with a uniqueness margin.  The
-certified claim: for k >= 2 and n >= 3k^2 - k - 2 the complete split
-graph is the unique maximiser; below that threshold the certificate
-still reports the winner but flags itself as outside the regime where
-uniqueness is asserted.
+The flagship routine builds the fan-free isomorphism classes of a given
+order, pruning every class that contains a fan together with all its
+extensions, eigensolves those whose degree bound does not already rule
+them out of the top values, and certifies the spectral-radius maximiser
+together with a uniqueness margin.  The certified claim: for k >= 2 and
+n >= 3k^2 - k - 2 the complete split graph is the unique maximiser;
+below that threshold the certificate still reports the winner but flags
+itself as outside the regime where uniqueness is asserted.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, TextIO
 
-from .enumeration import EnumerationTask, canonical_form, enumerate_graphs
+from .enumeration import (EnumerationTask, canonical_form, count_classes,
+                          enumerate_graphs)
 from .fans import is_fan_free
 from .graphs import (Graph, circulant_graph, complete_graph, disjoint_union,
                      empty_graph, graph6_decode, join, split_parameter)
@@ -118,8 +119,10 @@ def _trim(entries: list[tuple[float, str]]) -> list[tuple[float, str]]:
 
 def _scan(graphs: Iterable[Graph], n: int,
           k: int) -> tuple[list[tuple[float, str]], int, int]:
-    """``_trim`` of the fan-free graphs' entries, with the fan-free and
-    total counts.
+    """``_trim`` of the fan-free graphs' entries, with the counts of
+    fan-free graphs and of graphs read.
+
+    Each graph read is fan-tested here, once.
 
     The fan-free graphs are eigensolved in descending order of their
     degree bound.  Once five are solved, let floor be the smaller of the
@@ -158,7 +161,7 @@ def _scan(graphs: Iterable[Graph], n: int,
 def _scan_shard(args: tuple[int, int, int, int]):
     n, k, index, count = args
     task = EnumerationTask(n, shard=(index, count))
-    return _scan(enumerate_graphs(task), n, k)
+    return _scan(enumerate_graphs(task, hereditary=lambda g: is_fan_free(g, k)), n, k)
 
 
 def _tight_q1(g: Graph) -> float:
@@ -167,17 +170,21 @@ def _tight_q1(g: Graph) -> float:
 
 def certify_max_q1(n: int, k: int, source: Iterable[Graph] | None = None, *,
                    jobs: int = 1) -> SearchCertificate:
-    """Scan every isomorphism class of order ``n``, keep the fan-free
-    ones, and certify the signless-Laplacian spectral-radius maximiser.
+    """Certify the signless-Laplacian spectral-radius maximiser among
+    the k-fan-free graphs of order ``n``.
 
     ``source`` may be an iterable of graphs of order ``n`` (for example
-    a decoded graph6 stream), or None for the default exhaustive run over
-    every class.  The default run is split into ``jobs`` round-robin
-    enumeration shards, one per worker process (scanned in this process
-    when ``jobs`` is 1), and the parts are merged deterministically, so
-    the certificate does not depend on ``jobs`` apart from ``elapsed``.
-    A ``source`` is scanned in one process, so it cannot be combined
-    with ``jobs`` above 1.
+    a decoded graph6 stream), or None for the default exhaustive run.
+    The default run builds only the fan-free classes: fan-freeness is
+    hereditary, so a class on fewer than ``n`` vertices that contains a
+    fan is not extended.  Its ``total`` is the number of isomorphism
+    classes of order ``n``, counted by ``count_classes``; with a
+    ``source`` it is the number of graphs read.  The default run is
+    split into ``jobs`` round-robin enumeration shards, one per worker
+    process (scanned in this process when ``jobs`` is 1), and the parts
+    are merged deterministically, so the certificate does not depend on
+    ``jobs`` apart from ``elapsed``.  A ``source`` is scanned in one
+    process, so it cannot be combined with ``jobs`` above 1.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -199,7 +206,7 @@ def certify_max_q1(n: int, k: int, source: Iterable[Graph] | None = None, *,
             parts = pool.map(_scan_shard, [(n, k, i, jobs) for i in range(jobs)])
     entries = _trim([e for part_entries, _, _ in parts for e in part_entries])
     scanned = sum(part[1] for part in parts)
-    total = sum(part[2] for part in parts)
+    total = parts[0][2] if source is not None else count_classes(n)
 
     if total == 0:
         raise RuntimeError("empty survivor set: the source yielded no graphs")
@@ -254,16 +261,17 @@ def turan_bruteforce(n: int, pattern: ForbiddenPattern,
     """Exact pattern-free edge maximum with every extremal class listed.
 
     ``source`` may be an iterable of graphs of order ``n``, or None for
-    every class of that order.  For kK2 patterns the result carries the
-    clique/split regime from the closed formula; fan patterns have no
-    such trichotomy and get None.
+    every pattern-free class of that order: both patterns are hereditary,
+    so a class that contains one is not extended.  For kK2 patterns the
+    result carries the clique/split regime from the closed formula; fan
+    patterns have no such trichotomy and get None.
     """
-    if source is None:
-        source = enumerate_graphs(EnumerationTask(n))
     if pattern.kind == "kk2":
         free = lambda g: is_kk2_free(g, pattern.k)
     else:
         free = lambda g: is_fan_free(g, pattern.k)
+    if source is None:
+        source = enumerate_graphs(EnumerationTask(n), hereditary=free)
 
     best = -1
     extremal: list[str] = []

@@ -11,8 +11,10 @@ from fanfree.cli import main
 from fanfree.enumeration import (ENUMERATION_MAX_N, EnumerationTask,
                                  _greater_order, _identity_groups, _twins,
                                  are_isomorphic, canonical_form,
-                                 canonical_label, enumerate_graphs,
-                                 stream_graph6, write_graph6)
+                                 canonical_label, count_classes,
+                                 enumerate_graphs, stream_graph6,
+                                 write_graph6)
+from fanfree.fans import is_fan_free
 from fanfree.graphs import (Graph, Graph6Error, circulant_graph,
                             complete_bipartite, complete_graph, cycle_graph,
                             graph6_encode, make_fan, make_split, path_graph)
@@ -23,6 +25,8 @@ from helpers import all_labeled_graphs, permuted, random_graph
 # oracle below, 7..9 pinned from standard enumeration tooling
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+# OEIS A000088, orders 1..11
+CLASS_COUNTS = [1, 2, 4, 11, 34, 156, 1044, 12346, 274668, 12005168, 1018997864]
 # sha256 of the output of `fanfree enumerate --n 8`: pins emission order and bytes
 N8_SHA256 = "4fed1af583c626faf9e832a5ec677004651e18d7ee777a1a8be50b0cee9ba321"
 
@@ -197,6 +201,41 @@ def test_enumerate_n8_output_pinned(tmp_path):
     assert data.count(b"\n") == 12346
     assert len(data) == 86422
     assert hashlib.sha256(data).hexdigest() == N8_SHA256
+
+
+@pytest.fixture(scope="module")
+def classes_to_8():
+    return {n: list(enumerate_graphs(EnumerationTask(n))) for n in range(1, 9)}
+
+
+def test_count_classes(classes_to_8):
+    for n, graphs in classes_to_8.items():
+        assert count_classes(n) == len(graphs), n
+    assert [count_classes(n) for n in range(1, 12)] == CLASS_COUNTS
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_hereditary_prune_keeps_every_free_class(classes_to_8, k):
+    # the full enumeration filtered afterwards is the oracle: the pruned
+    # walk must keep every fan-free class, in the same emission order
+    free = lambda g: is_fan_free(g, k)
+    for n, graphs in classes_to_8.items():
+        pruned = list(enumerate_graphs(EnumerationTask(n), hereditary=free))
+        assert ([graph6_encode(g) for g in pruned if free(g)]
+                == [graph6_encode(g) for g in graphs if free(g)]), n
+        if n == 8:
+            assert sum(map(free, pruned)) == {2: 2290, 3: 8820}[k]
+            assert len(pruned) < len(graphs)  # fan-containing parents pruned
+    full = sorted(graph6_encode(g) for g in enumerate_graphs(
+        EnumerationTask(7), hereditary=free))
+    pieces = sorted(graph6_encode(g) for index in range(3) for g in enumerate_graphs(
+        EnumerationTask(7, shard=(index, 3)), hereditary=free))
+    assert pieces == full
+
+
+def test_hereditary_prune_count_n9():
+    free = lambda g: is_fan_free(g, 2)
+    assert sum(map(free, enumerate_graphs(EnumerationTask(9), hereditary=free))) == 17642
 
 
 def test_stream_graph6_roundtrip():

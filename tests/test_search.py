@@ -10,7 +10,8 @@ import pytest
 from fanfree import search
 from fanfree.enumeration import EnumerationTask, canonical_form, enumerate_graphs
 from fanfree.fans import is_fan_free
-from fanfree.graphs import complete_bipartite, graph6_decode, make_split
+from fanfree.graphs import (complete_bipartite, complete_graph, graph6_decode,
+                            make_split)
 from fanfree.matching import ForbiddenPattern, Regime, turan_kk2
 from fanfree.search import (MARGIN, MARGIN_TIGHT, ConstructionSpec,
                             certify_max_q1, certificate_payload,
@@ -83,6 +84,20 @@ def test_certify_jobs_matches_serial(n, k):
     assert a == b
 
 
+@pytest.mark.parametrize(
+    "n,k", [(n, k) for n in range(1, 8) for k in (1, 2, 3)] + [(8, 2)])
+def test_certify_fan_free_walk_matches_full_enumeration(classes_7_8, n, k):
+    # the full enumeration as a source is the oracle for the pruned walk,
+    # its class count included
+    graphs = classes_7_8.get(n) or enumerate_graphs(EnumerationTask(n))
+    full = certificate_payload(certify_max_q1(n, k, graphs))
+    full.pop("elapsed")
+    for jobs in (1, 2):
+        pruned = certificate_payload(certify_max_q1(n, k, jobs=jobs))
+        pruned.pop("elapsed")
+        assert pruned == full, jobs
+
+
 def test_certify_rejects_bad_jobs():
     for jobs in (0, -3):
         with pytest.raises(ValueError, match="jobs"):
@@ -109,6 +124,28 @@ def test_bound_pruned_scan_matches_full_scan(classes_7_8, monkeypatch, n, k):
     assert pruned == full
     assert (scanned, total) == (full_scanned, full_total)
     assert len(full) >= 5
+
+
+def test_scan_stop_rule_allows_eigensolver_error(monkeypatch):
+    # every graph of order 8 is 4-fan-free.  First come the four graphs
+    # of order 8 with at least 26 edges: K8 and its complements of one
+    # edge, of a path P3 and of two disjoint edges.  Then two cubic
+    # graphs, both of degree bound exactly 6, whose q1 the eigensolver
+    # returns a few ulps above 6, the second one higher.  After five
+    # solves the floor is the first cubic q1, above the second's bound:
+    # only the EIGEN_ACCURACY slack lets the scan solve the second and
+    # keep it as fifth.
+    k8_minus = complete_graph(8).without_edge(0, 1)
+    dense = [complete_graph(8), k8_minus, k8_minus.without_edge(1, 2),
+             k8_minus.without_edge(2, 3)]
+    cubic = [graph6_decode("G{O_ww"), graph6_decode("GsXP_[")]
+    assert all(g.degree_sequence() == (3,) * 8 for g in cubic)
+    graphs = dense + cubic
+    pruned = search._scan(graphs, 8, 4)
+    monkeypatch.setattr(search, "_degree_bound", lambda g: math.inf)
+    full = search._scan(graphs, 8, 4)
+    assert pruned == full
+    assert full[0][4][1] == canonical_form(cubic[1]).text
 
 
 def test_scan_keeps_near_ties_beyond_five(monkeypatch):
@@ -148,6 +185,15 @@ def test_turan_bruteforce_examples():
     assert len(r.extremal) == 1  # the balanced complete bipartite graph
 
     assert turan_bruteforce(7, ForbiddenPattern("fan", 1)).max_edges == 12
+
+
+@pytest.mark.parametrize("kind", ["fan", "kk2"])
+def test_turan_bruteforce_pruned_walk_matches_full_enumeration(kind):
+    for n in range(2, 8):
+        for k in (1, 2, 3):
+            pattern = ForbiddenPattern(kind, k)
+            full = turan_bruteforce(n, pattern, enumerate_graphs(EnumerationTask(n)))
+            assert turan_bruteforce(n, pattern) == full, (n, k)
 
 
 def test_turan_bruteforce_matches_formula_grid():
