@@ -9,17 +9,23 @@ neighbour subsets, and keeping exactly the extensions whose identity
 labelling is canonical, enumerates every isomorphism class once with no
 global dedup table.  The parent of a canonical class is that class minus
 its last vertex, so a walk restricted to a hereditary property (one
-closed under vertex deletion) may drop every parent that lacks it
+closed under vertex deletion) may drop every child that lacks it
 together with all its descendants: the PRUNE hook of orderly generation
 (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
+The hook runs on each child before its canonicity test, so only children
+with the property are searched, and every leaf has it.
 
 One search serves both the canonicity test and the canonical form: a
 depth-first search for a lexicographically greater relabelling over
 candidate bitmasks, pruned by interchangeable-vertex (twin) classes.
 The canonicity test asks whether it finds none; the canonical form
-relabels by each greater order it finds until it finds none.  Each
-parent first rejects the extensions that already lose on the identity
-labelling, which is most of them, before any search runs.
+relabels by each greater order it finds until it finds none.  Before any
+search, each parent rejects the extensions that already lose on the
+identity labelling, which is most of them, and those whose new vertex
+is adjacent to a parent vertex but not to a lower twin of it, since
+swapping the two twins gives a greater code (Read's orderly scheme,
+"Every one a winner", Ann. Discrete Math. 2, 1978).  A child's twin
+classes follow from its parent's, so no child recomputes them.
 
 ``count_classes`` counts the classes of an order without building them,
 so a pruned walk can still report how many classes exist.
@@ -107,21 +113,20 @@ def _identity_groups(adj, n: int) -> list[int]:
     return groups
 
 
-def _greater_order(adj, n: int, t: list[int]) -> list[int] | None:
+def _greater_order(adj, n: int, t: list[int], twins: list[int]) -> list[int] | None:
     """A vertex order whose code beats the identity's, or None when the
     identity labelling of ``adj`` is canonical.
 
-    ``t`` holds the identity's group values.  The search places vertices
-    level by level; the candidates for the next level are the unplaced
-    vertices whose group value equals the identity's, kept as a bitmask,
-    and any unplaced vertex whose group value exceeds it proves a greater
-    relabelling: the placed vertices, that vertex, then the rest in
-    ascending order.  Candidates are taken lowest first, one per twin
-    class.
+    ``t`` holds the identity's group values and ``twins`` the ``_twins``
+    masks.  The search places vertices level by level; the candidates
+    for the next level are the unplaced vertices whose group value
+    equals the identity's, kept as a bitmask, and any unplaced vertex
+    whose group value exceeds it proves a greater relabelling: the
+    placed vertices, that vertex, then the rest in ascending order.
+    Candidates are taken lowest first, one per twin class.
     """
     if n <= 1:
         return None
-    twins = _twins(adj, n)
     full = (1 << n) - 1
     chosen = [0] * n
     placed_adj = [0] * n  # adjacency of the vertex placed at each position
@@ -166,17 +171,48 @@ def _greater_order(adj, n: int, t: list[int]) -> list[int] | None:
             cand[level] = eq
 
 
-def _children(rows: list[int], t: list[int]) -> Iterator[tuple[list[int], list[int]]]:
-    """Canonical one-vertex extensions of a canonical parent, with their
-    identity groups, in ascending order of the new vertex's group value.
+def _child_twins(rows: list[int], twins: list[int], s: int) -> list[int]:
+    """``_twins`` of the parent ``rows`` extended by a vertex m adjacent to ``s``.
 
-    The new vertex m has group value g, its neighbour set bit-reversed.
-    The full search walks the identity labelling first, where the top
-    ``nl`` bits of g exceeding ``t[nl]`` at some level ``nl`` prove a
-    greater relabelling.  That is checked without building the child and
-    skips every g sharing those top bits; only the rest get the search.
+    Two parent vertices stay twins iff both lie on the same side of s.
+    The new vertex is an open twin of each v outside s with N(v) = s and
+    a closed twin of each v in s with N[v] = s + m; it has no other.
     """
     m = len(rows)
+    new = 1 << m
+    out = []
+    for v, (row, tw) in enumerate(zip(rows, twins)):
+        inside = s >> v & 1
+        tw &= s if inside else ~s
+        if row | inside << v == s:
+            tw |= 1 << m
+            new |= 1 << v
+        out.append(tw)
+    out.append(new)
+    return out
+
+
+def _children(rows: list[int], t: list[int], twins: list[int],
+              keep: Callable[[Graph], bool] | None = None
+              ) -> Iterator[tuple[list[int], list[int], list[int]]]:
+    """Canonical one-vertex extensions of a canonical parent that pass
+    ``keep``, with their identity groups and twin masks, in ascending
+    order of the new vertex's group value.
+
+    The new vertex m has group value g, its neighbour set s bit-reversed.
+    Each g meets the cheap tests first and the canonicity search last:
+
+    - the full search walks the identity labelling first, where the top
+      ``nl`` bits of g exceeding ``t[nl]`` at some level ``nl`` prove a
+      greater relabelling; that skips every g sharing those top bits;
+    - swapping parent twins u < w fixes the parent's code and, when s
+      holds w but not u, raises g, so s must hold every lower twin of
+      each of its vertices;
+    - ``keep`` then sees the child, whose parent passed it;
+    - only the rest get the search.
+    """
+    m = len(rows)
+    lower = [tw & ((1 << v) - 1) for v, tw in enumerate(twins)]
     top = 1 << m
     g = 0
     while g < top:
@@ -187,11 +223,20 @@ def _children(rows: list[int], t: list[int]) -> Iterator[tuple[list[int], list[i
                 break
         else:
             s = _reverse_bits(g, m)
-            child = [rows[i] | ((s >> i & 1) << m) for i in range(m)]
-            child.append(s)
-            child_t = t + [g]
-            if _greater_order(child, m + 1, child_t) is None:
-                yield child, child_t
+            need = 0
+            x = s
+            while x:
+                low = x & -x
+                need |= lower[low.bit_length() - 1]
+                x ^= low
+            if not need & ~s:
+                child = [rows[i] | ((s >> i & 1) << m) for i in range(m)]
+                child.append(s)
+                if keep is None or keep(Graph._from_trusted(m + 1, tuple(child))):
+                    child_t = t + [g]
+                    child_twins = _child_twins(rows, twins, s)
+                    if _greater_order(child, m + 1, child_t, child_twins) is None:
+                        yield child, child_t, child_twins
             g += 1
 
 
@@ -222,7 +267,8 @@ def canonical_label(g: Graph) -> Graph:
     climb ends, and it ends at the unique labelling with the greatest code.
     """
     while True:
-        order = _greater_order(g.adj, g.n, _identity_groups(g.adj, g.n))
+        order = _greater_order(g.adj, g.n, _identity_groups(g.adj, g.n),
+                               _twins(g.adj, g.n))
         if order is None:
             return g
         g = _relabel(g, order)
@@ -249,36 +295,38 @@ def enumerate_graphs(task: EnumerationTask, *,
     plan, parents on ``n-1`` vertices are distributed round-robin.
 
     ``hereditary``, when given, is a property closed under vertex
-    deletion: a class on fewer than ``n`` vertices that lacks it is not
-    extended, so no class of order ``n`` containing it is built.  Classes
-    of order ``n`` are not tested; the caller tests what it keeps.
+    deletion.  It is called on the one-vertex graph and then on every
+    child, before the child's canonicity test, at every order up to
+    ``n``; it may assume that the child minus its last vertex has the
+    property.  A child that lacks it is neither extended nor yielded, so
+    every graph yielded has the property.
     """
     n = task.n
+    shard = task.shard
+    if hereditary is not None and not hereditary(Graph._from_trusted(1, (0,))):
+        return
     if n == 1:
-        if task.shard is None or task.shard[0] == 0:
+        if shard is None or shard[0] == 0:
             yield Graph._from_trusted(1, (0,))  # one vertex is connected
         return
 
-    shard = task.shard
     parent_counter = 0
 
-    def walk(rows: list[int], t: list[int]) -> Iterator[list[int]]:
+    def walk(rows: list[int], t: list[int], twins: list[int]) -> Iterator[list[int]]:
         nonlocal parent_counter
         m = len(rows)
         if m == n:
             yield rows
-            return
-        if hereditary is not None and not hereditary(Graph._from_trusted(m, tuple(rows))):
             return
         if m == n - 1 and shard is not None:
             idx = parent_counter
             parent_counter += 1
             if idx % shard[1] != shard[0]:
                 return
-        for child, child_t in _children(rows, t):
-            yield from walk(child, child_t)
+        for child, child_t, child_twins in _children(rows, t, twins, hereditary):
+            yield from walk(child, child_t, child_twins)
 
-    for rows in walk([0], [0]):
+    for rows in walk([0], [0], [1]):
         g = Graph._from_trusted(n, tuple(rows))
         if not task.connected_only or g.is_connected():
             yield g

@@ -70,6 +70,29 @@ def is_fan_free(g: Graph, k: int) -> bool:
     return next(_fan_centres(g, k), None) is None
 
 
+def _extension_fan_free(g: Graph, k: int) -> bool:
+    """``is_fan_free(g, k)`` for a ``g`` whose last vertex v is new: g
+    minus v must be k-fan-free.
+
+    Every k-fan of g then uses v, as its centre, so ν(N(v)) >= k, or as
+    a leaf next to a centre u in N(v), so ν(N(u)) >= k and v has a
+    neighbour in N(u).
+    """
+    v = g.n - 1
+    adj = g.adj
+    nb = adj[v]
+    if nb.bit_count() >= 2 * k and _matching_size(adj, nb, k) >= k:
+        return False
+    x = nb
+    while x:
+        low = x & -x
+        nu = adj[low.bit_length() - 1]
+        if nu & nb and nu.bit_count() >= 2 * k and _matching_size(adj, nu, k) >= k:
+            return False
+        x ^= low
+    return True
+
+
 def common_neighbor_check(g: Graph) -> bool:
     """True iff every non-adjacent pair of vertices shares a neighbour.
 

@@ -18,11 +18,11 @@ import math
 import time
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from .enumeration import (EnumerationTask, canonical_form, count_classes,
                           enumerate_graphs)
-from .fans import is_fan_free
+from .fans import _extension_fan_free, is_fan_free
 from .graphs import (Graph, circulant_graph, complete_graph, disjoint_union,
                      empty_graph, graph6_decode, join, split_parameter)
 from .matching import ForbiddenPattern, Regime, TuranRecord, is_kk2_free, turan_kk2
@@ -117,15 +117,20 @@ def _trim(entries: list[tuple[float, str]]) -> list[tuple[float, str]]:
             if i < 5 or t[0] >= ranked[0][0] - MARGIN]
 
 
-def _scan(graphs: Iterable[Graph], n: int,
-          k: int) -> tuple[list[tuple[float, str]], int, int]:
-    """``_trim`` of the fan-free graphs' entries, with the counts of
-    fan-free graphs and of graphs read.
+def _of_order(graphs: Iterable[Graph], n: int) -> Iterator[Graph]:
+    """The graphs of a source, checked to have order ``n``."""
+    for g in graphs:
+        if g.n != n:
+            raise ValueError(f"source produced a graph of order {g.n}, expected {n}")
+        yield g
 
-    Each graph read is fan-tested here, once.
 
-    The fan-free graphs are eigensolved in descending order of their
-    degree bound.  Once five are solved, let floor be the smaller of the
+def _scan(graphs: Iterable[Graph]) -> tuple[list[tuple[float, str]], int]:
+    """``_trim`` of the entries of ``graphs``, which are all fan-free, and
+    their number.
+
+    The graphs are eigensolved in descending order of their degree
+    bound.  Once five are solved, let floor be the smaller of the
     fifth-best q1 and the best q1 minus MARGIN: ``_trim`` drops every
     entry below floor, and floor never falls.  The scan stops at the
     first graph whose bound plus the eigensolver's accuracy is below
@@ -133,15 +138,8 @@ def _scan(graphs: Iterable[Graph], n: int,
     graphs at or above the final floor are canonicalised.  So the result
     equals that of a scan that eigensolves every graph.
     """
-    survivors: list[tuple[float, Graph]] = []
-    total = 0
-    for g in graphs:
-        if g.n != n:
-            raise ValueError(f"source produced a graph of order {g.n}, expected {n}")
-        total += 1
-        if is_fan_free(g, k):
-            survivors.append((_degree_bound(g), g))
-    survivors.sort(key=itemgetter(0), reverse=True)
+    survivors = sorted(((_degree_bound(g), g) for g in graphs),
+                       key=itemgetter(0), reverse=True)
     solved: list[tuple[float, Graph]] = []
     top: list[float] = []  # the five largest q1 values so far, descending
     floor = -math.inf
@@ -155,13 +153,13 @@ def _scan(graphs: Iterable[Graph], n: int,
             floor = min(top[4], top[0] - MARGIN)
     entries = [(value, canonical_form(g).text) for value, g in solved
                if value >= floor]
-    return _trim(entries), len(survivors), total
+    return _trim(entries), len(survivors)
 
 
 def _scan_shard(args: tuple[int, int, int, int]):
     n, k, index, count = args
     task = EnumerationTask(n, shard=(index, count))
-    return _scan(enumerate_graphs(task, hereditary=lambda g: is_fan_free(g, k)), n, k)
+    return _scan(enumerate_graphs(task, hereditary=lambda g: _extension_fan_free(g, k)))
 
 
 def _tight_q1(g: Graph) -> float:
@@ -176,10 +174,13 @@ def certify_max_q1(n: int, k: int, source: Iterable[Graph] | None = None, *,
     ``source`` may be an iterable of graphs of order ``n`` (for example
     a decoded graph6 stream), or None for the default exhaustive run.
     The default run builds only the fan-free classes: fan-freeness is
-    hereditary, so a class on fewer than ``n`` vertices that contains a
-    fan is not extended.  Its ``total`` is the number of isomorphism
-    classes of order ``n``, counted by ``count_classes``; with a
-    ``source`` it is the number of graphs read.  The default run is
+    hereditary, so the walk fan-tests each child, incrementally in its
+    new vertex, before its canonicity test, and neither searches nor
+    extends a child that contains a fan.  Every graph the walk yields is
+    fan-free and is not tested again; each graph of a ``source`` is
+    fan-tested once.  The default run's ``total`` is the number of
+    isomorphism classes of order ``n``, counted by ``count_classes``;
+    with a ``source`` it is the number of graphs read.  The default run is
     split into ``jobs`` round-robin enumeration shards, one per worker
     process (scanned in this process when ``jobs`` is 1), and the parts
     are merged deterministically, so the certificate does not depend on
@@ -196,17 +197,28 @@ def certify_max_q1(n: int, k: int, source: Iterable[Graph] | None = None, *,
     t0 = time.perf_counter()
 
     if source is not None:
-        parts = [_scan(source, n, k)]
-    elif jobs == 1:
-        parts = [_scan_shard((n, k, 0, 1))]
-    else:
-        import multiprocessing
+        read = 0
 
-        with multiprocessing.Pool(jobs) as pool:
-            parts = pool.map(_scan_shard, [(n, k, i, jobs) for i in range(jobs)])
-    entries = _trim([e for part_entries, _, _ in parts for e in part_entries])
+        def fan_free() -> Iterator[Graph]:
+            nonlocal read
+            for g in _of_order(source, n):
+                read += 1
+                if is_fan_free(g, k):
+                    yield g
+
+        parts = [_scan(fan_free())]
+        total = read
+    else:
+        total = count_classes(n)
+        if jobs == 1:
+            parts = [_scan_shard((n, k, 0, 1))]
+        else:
+            import multiprocessing
+
+            with multiprocessing.Pool(jobs) as pool:
+                parts = pool.map(_scan_shard, [(n, k, i, jobs) for i in range(jobs)])
+    entries = _trim([e for part_entries, _ in parts for e in part_entries])
     scanned = sum(part[1] for part in parts)
-    total = parts[0][2] if source is not None else count_classes(n)
 
     if total == 0:
         raise RuntimeError("empty survivor set: the source yielded no graphs")
@@ -262,7 +274,9 @@ def turan_bruteforce(n: int, pattern: ForbiddenPattern,
 
     ``source`` may be an iterable of graphs of order ``n``, or None for
     every pattern-free class of that order: both patterns are hereditary,
-    so a class that contains one is not extended.  For kK2 patterns the
+    so the walk tests each child before its canonicity test and neither
+    searches nor extends one that contains the pattern.  Each graph,
+    walked or read, is tested once.  For kK2 patterns the
     result carries the clique/split regime from the closed formula; fan
     patterns have no such trichotomy and get None.
     """
@@ -271,15 +285,15 @@ def turan_bruteforce(n: int, pattern: ForbiddenPattern,
     else:
         free = lambda g: is_fan_free(g, pattern.k)
     if source is None:
-        source = enumerate_graphs(EnumerationTask(n), hereditary=free)
+        graphs = enumerate_graphs(EnumerationTask(n), hereditary=free)
+    else:
+        graphs = (g for g in _of_order(source, n) if free(g))
 
     best = -1
     extremal: list[str] = []
-    for g in source:
-        if g.n != n:
-            raise ValueError(f"source produced a graph of order {g.n}, expected {n}")
+    for g in graphs:
         e = g.edge_count()
-        if e < best or not free(g):
+        if e < best:
             continue
         if e > best:
             best = e

@@ -282,8 +282,15 @@ def _degree_bound(g: Graph) -> float:
 def _vertex_bounds(g: Graph) -> list[float | None]:
     """Per vertex, ``d_v + (sum of neighbour degrees)/d_v``, or None if isolated."""
     deg = [row.bit_count() for row in g.adj]
-    return [d + sum(deg[u] for u in bits(row)) / d if d else None
-            for d, row in zip(deg, g.adj)]
+    out: list[float | None] = []
+    for d, row in zip(deg, g.adj):
+        total = 0
+        while row:
+            low = row & -row
+            total += deg[low.bit_length() - 1]
+            row ^= low
+        out.append(d + total / d if d else None)
+    return out
 
 
 def quotient(m: SymMatrix, p: VertexPartition) -> QuotientMatrix:

@@ -8,13 +8,15 @@ import random
 import pytest
 
 from fanfree.cli import main
+from fanfree import enumeration
 from fanfree.enumeration import (ENUMERATION_MAX_N, EnumerationTask,
-                                 _greater_order, _identity_groups, _twins,
+                                 _child_twins, _children, _greater_order,
+                                 _identity_groups, _twins,
                                  are_isomorphic, canonical_form,
                                  canonical_label, count_classes,
                                  enumerate_graphs, stream_graph6,
                                  write_graph6)
-from fanfree.fans import is_fan_free
+from fanfree.fans import _extension_fan_free, is_fan_free
 from fanfree.graphs import (Graph, Graph6Error, circulant_graph,
                             complete_bipartite, complete_graph, cycle_graph,
                             graph6_encode, make_fan, make_split, path_graph)
@@ -161,7 +163,7 @@ def test_canonicity_kernel_matches_brute_force():
             adj = list(g.adj)
             identity = _colex_code(adj, n, range(n))
             best = max(_colex_code(adj, n, order) for order in orders)
-            order = _greater_order(adj, n, _identity_groups(adj, n))
+            order = _greater_order(adj, n, _identity_groups(adj, n), _twins(adj, n))
             assert (order is None) == (identity == best), (n, adj)
             if order is not None:
                 assert sorted(order) == list(range(n))
@@ -192,6 +194,66 @@ def test_twins_are_the_automorphic_transpositions():
                 swap[u], swap[w] = w, u
                 assert bool(twins[u] >> w & 1) == (permuted(g, swap) == g), \
                     (n, adj, u, w)
+
+
+def _extensions(g):
+    """Every one-vertex extension of ``g``, with the new vertex's neighbour set."""
+    m = g.n
+    for s in range(1 << m):
+        rows = [row | (s >> i & 1) << m for i, row in enumerate(g.adj)] + [s]
+        yield s, rows
+
+
+def test_child_twins_equal_recomputed_twins():
+    for n in range(1, 7):
+        for g in enumerate_graphs(EnumerationTask(n)):
+            twins = _twins(g.adj, n)
+            for s, rows in _extensions(g):
+                assert _child_twins(list(g.adj), twins, s) == _twins(rows, n + 1), \
+                    (graph6_encode(g), s)
+
+
+def test_children_search_only_what_the_prefilters_cannot_reject(monkeypatch):
+    # every extension a parent rejects without a search is not canonical,
+    # and the twin-order rule rejects some the identity prefix cannot
+    searched = []
+
+    def recording(adj, n, t, twins):
+        searched.append(adj[-1])
+        return _greater_order(adj, n, t, twins)
+
+    monkeypatch.setattr(enumeration, "_greater_order", recording)
+    by_twins = 0
+    for n in range(1, 7):
+        for g in enumerate_graphs(EnumerationTask(n)):
+            adj = list(g.adj)
+            t = _identity_groups(adj, n)
+            searched.clear()
+            kept = [child[-1] for child, _, _ in _children(adj, t, _twins(adj, n))]
+            for s, rows in _extensions(g):
+                child_t = _identity_groups(rows, n + 1)
+                canonical = _greater_order(rows, n + 1, child_t, _twins(rows, n + 1)) is None
+                assert (s in kept) == canonical, (graph6_encode(g), s)
+                if s not in searched:
+                    assert not canonical, (graph6_encode(g), s)
+                    # the identity prefilter: a prefix of the new group value
+                    # beats the group value at that level
+                    g_new = child_t[n]
+                    by_twins += not any(g_new >> (n - level) > t[level]
+                                        for level in range(1, n))
+    assert by_twins > 0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_extension_fan_test_equals_full_fan_test(k):
+    for n in range(1, 7):
+        for g in enumerate_graphs(EnumerationTask(n)):
+            if not is_fan_free(g, k):
+                continue
+            for s, rows in _extensions(g):
+                child = Graph(n + 1, tuple(rows))
+                assert _extension_fan_free(child, k) == is_fan_free(child, k), \
+                    (graph6_encode(g), s)
 
 
 def test_enumerate_n8_output_pinned(tmp_path):

@@ -1,5 +1,6 @@
 """Certification pipeline, brute-force edge maxima, constructions, emission."""
 
+import hashlib
 import io
 import json
 import math
@@ -98,6 +99,27 @@ def test_certify_fan_free_walk_matches_full_enumeration(classes_7_8, n, k):
         assert pruned == full, jobs
 
 
+def test_default_walk_yields_only_fan_free_graphs(classes_7_8, monkeypatch):
+    # the walk's graphs reach the scan untested, so it must yield exactly
+    # the fan-free classes
+    seen = []
+
+    def recording(graphs):
+        graphs = list(graphs)
+        seen.extend(graphs)
+        return scan(graphs)
+
+    scan = search._scan
+    monkeypatch.setattr(search, "_scan", recording)
+    for n, k in [(5, 1), (7, 2), (7, 3), (8, 2)]:
+        seen.clear()
+        cert = certify_max_q1(n, k)
+        assert all(is_fan_free(g, k) for g in seen), (n, k)
+        graphs = classes_7_8.get(n) or enumerate_graphs(EnumerationTask(n))
+        free = [g for g in graphs if is_fan_free(g, k)]
+        assert cert.scanned == len(seen) == len(free), (n, k)
+
+
 def test_certify_rejects_bad_jobs():
     for jobs in (0, -3):
         with pytest.raises(ValueError, match="jobs"):
@@ -117,12 +139,13 @@ def classes_7_8():
 
 @pytest.mark.parametrize("n,k", [(7, 2), (7, 3), (8, 2), (8, 3)])
 def test_bound_pruned_scan_matches_full_scan(classes_7_8, monkeypatch, n, k):
-    pruned, scanned, total = search._scan(classes_7_8[n], n, k)
+    free = [g for g in classes_7_8[n] if is_fan_free(g, k)]
+    pruned, scanned = search._scan(free)
     # an infinite bound never excludes anything: every survivor is solved
     monkeypatch.setattr(search, "_degree_bound", lambda g: math.inf)
-    full, full_scanned, full_total = search._scan(classes_7_8[n], n, k)
+    full, full_scanned = search._scan(free)
     assert pruned == full
-    assert (scanned, total) == (full_scanned, full_total)
+    assert scanned == full_scanned == len(free)
     assert len(full) >= 5
 
 
@@ -141,9 +164,9 @@ def test_scan_stop_rule_allows_eigensolver_error(monkeypatch):
     cubic = [graph6_decode("G{O_ww"), graph6_decode("GsXP_[")]
     assert all(g.degree_sequence() == (3,) * 8 for g in cubic)
     graphs = dense + cubic
-    pruned = search._scan(graphs, 8, 4)
+    pruned = search._scan(graphs)
     monkeypatch.setattr(search, "_degree_bound", lambda g: math.inf)
-    full = search._scan(graphs, 8, 4)
+    full = search._scan(graphs)
     assert pruned == full
     assert full[0][4][1] == canonical_form(cubic[1]).text
 
@@ -154,9 +177,9 @@ def test_scan_keeps_near_ties_beyond_five(monkeypatch):
     graphs = [complete_bipartite(a, 14 - a) for a in range(1, 8)]
     values = {g: 14 - i * MARGIN / 10 for i, g in enumerate(graphs)}
     monkeypatch.setattr(search, "q1", values.__getitem__)
-    entries, scanned, total = search._scan(graphs, 14, 1)
+    entries, scanned = search._scan(graphs)
     assert [v for v, _ in entries] == sorted(values.values(), reverse=True)
-    assert (scanned, total) == (7, 7)
+    assert scanned == 7
 
 
 def test_certify_rejects_bad_k():
@@ -187,13 +210,26 @@ def test_turan_bruteforce_examples():
     assert turan_bruteforce(7, ForbiddenPattern("fan", 1)).max_edges == 12
 
 
+# sha256 of the JSON list of turan payloads for n = 2..8 and k = 1..3:
+# the records every change to the pruned walk must keep
+TURAN_GRID_SHA256 = {
+    "fan": "c73d8ccdf67832f60ea60f4409a6e38d72cd3413e391749bdeb1b1db837a2b27",
+    "kk2": "f92502c416e7beb39ab22f9c9987669b88f0dbd80d24014295c327e5487447c5",
+}
+
+
 @pytest.mark.parametrize("kind", ["fan", "kk2"])
-def test_turan_bruteforce_pruned_walk_matches_full_enumeration(kind):
-    for n in range(2, 8):
+def test_turan_bruteforce_pruned_walk_matches_full_enumeration(classes_7_8, kind):
+    payloads = []
+    for n in range(2, 9):
+        graphs = classes_7_8.get(n) or list(enumerate_graphs(EnumerationTask(n)))
         for k in (1, 2, 3):
             pattern = ForbiddenPattern(kind, k)
-            full = turan_bruteforce(n, pattern, enumerate_graphs(EnumerationTask(n)))
-            assert turan_bruteforce(n, pattern) == full, (n, k)
+            record = turan_bruteforce(n, pattern)
+            assert record == turan_bruteforce(n, pattern, graphs), (n, k)
+            payloads.append(certificate_payload(record))
+    digest = hashlib.sha256(json.dumps(payloads).encode()).hexdigest()
+    assert digest == TURAN_GRID_SHA256[kind]
 
 
 def test_turan_bruteforce_matches_formula_grid():
