@@ -206,9 +206,10 @@ def _cmd_construct(args) -> int:
 # -- parser ------------------------------------------------------------
 
 
-def _add_io(p: _Parser, fmt: str, *, with_input: bool = True) -> None:
-    if with_input:
-        p.add_argument("--input", "-i", help="graph6 input file (default stdin)")
+def _add_io(p: _Parser, fmt: str, *,
+            input_help: str | None = "graph6 input file (default stdin)") -> None:
+    if input_help is not None:
+        p.add_argument("--input", "-i", help=input_help)
         p.add_argument("--fail-fast", action=argparse.BooleanOptionalAction,
                        default=True,
                        help="stop at the first malformed line (default) or "
@@ -243,7 +244,8 @@ def build_parser() -> _Parser:
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes, each scanning one round-robin "
                         "enumeration shard (default 1)")
-    _add_io(p, "json")
+    _add_io(p, "json", input_help="graph6 file of candidates, '-' for stdin "
+                                   "(default: walk every fan-free class of order n)")
     p.set_defaults(run=_cmd_certify, required_flags=("n", "k"))
 
     p = sub.add_parser("enumerate", help="stream one representative per "
@@ -252,7 +254,7 @@ def build_parser() -> _Parser:
     p.add_argument("--connected-only", action="store_true")
     p.add_argument("--shards", type=int, default=None)
     p.add_argument("--shard-index", type=int, default=None)
-    _add_io(p, "tsv", with_input=False)
+    _add_io(p, "tsv", input_help=None)
     p.set_defaults(run=_cmd_enumerate, required_flags=("n",))
 
     p = sub.add_parser("turan", help="brute-force pattern-free edge maximum "
@@ -260,7 +262,8 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, help="graph order")
     p.add_argument("--pattern", choices=("kk2", "fan"))
     p.add_argument("--k", type=int)
-    _add_io(p, "json")
+    _add_io(p, "json", input_help="graph6 file of candidates, '-' for stdin "
+                                   "(default: walk every pattern-free class of order n)")
     p.set_defaults(run=_cmd_turan, required_flags=("n", "pattern", "k"))
 
     p = sub.add_parser("bounds", help="per-graph spectral radius, degree "
@@ -271,7 +274,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("construct", help="edge-maximal fan-free construction")
     p.add_argument("--n", type=int, help="graph order")
     p.add_argument("--k", type=int)
-    _add_io(p, "json", with_input=False)
+    _add_io(p, "json", input_help=None)
     p.set_defaults(run=_cmd_construct, required_flags=("n", "k"))
 
     return parser

@@ -24,8 +24,9 @@ search, each parent rejects the extensions that already lose on the
 identity labelling, which is most of them, and those whose new vertex
 is adjacent to a parent vertex but not to a lower twin of it, since
 swapping the two twins gives a greater code (Read's orderly scheme,
-"Every one a winner", Ann. Discrete Math. 2, 1978).  A child's twin
-classes follow from its parent's, so no child recomputes them.
+"Every one a winner", Ann. Discrete Math. 2, 1978).  The walk carries
+a graph and its twin masks, nothing else: a child's masks follow from
+its parent's, and the hook, the search and the output share one graph.
 
 ``count_classes`` counts the classes of an order without building them,
 so a pruned walk can still report how many classes exist.
@@ -104,26 +105,21 @@ def _twins(adj, n: int) -> list[int]:
 
 def _identity_groups(adj, n: int) -> list[int]:
     """Group values of the identity labelling, level by level."""
-    groups = [0] * n
-    for j in range(1, n):
-        val = 0
-        for i in range(j):
-            val = (val << 1) | (adj[j] >> i & 1)
-        groups[j] = val
-    return groups
+    return [_reverse_bits(adj[j], j) for j in range(n)]
 
 
-def _greater_order(adj, n: int, t: list[int], twins: list[int]) -> list[int] | None:
+def _greater_order(adj, n: int, twins: list[int]) -> list[int] | None:
     """A vertex order whose code beats the identity's, or None when the
     identity labelling of ``adj`` is canonical.
 
-    ``t`` holds the identity's group values and ``twins`` the ``_twins``
-    masks.  The search places vertices level by level; the candidates
-    for the next level are the unplaced vertices whose group value
-    equals the identity's, kept as a bitmask, and any unplaced vertex
-    whose group value exceeds it proves a greater relabelling: the
-    placed vertices, that vertex, then the rest in ascending order.
-    Candidates are taken lowest first, one per twin class.
+    ``twins`` holds the ``_twins`` masks; bit i of ``adj[j]`` is the
+    identity's adjacency at level j to position i.  The search places
+    vertices level by level; the candidates for the next level are the
+    unplaced vertices whose group value equals the identity's, kept as a
+    bitmask, and any unplaced vertex whose group value exceeds it proves
+    a greater relabelling: the placed vertices, that vertex, then the
+    rest in ascending order.  Candidates are taken lowest first, one per
+    twin class.
     """
     if n <= 1:
         return None
@@ -148,20 +144,17 @@ def _greater_order(adj, n: int, t: list[int], twins: list[int]) -> list[int] | N
         placed_adj[level] = adj[u]
         placed |= 1 << u
         level += 1
-        # bit level-1-i of t[level] is the identity's adjacency to the
-        # vertex placed at position i
         eq = full & ~placed
-        bit = 1 << level
-        tl = t[level]
+        row = adj[level]
         for a in placed_adj[:level]:
-            bit >>= 1
-            if tl & bit:
+            if row & 1:
                 eq &= a
             elif eq & a:
                 w = (eq & a & -(eq & a)).bit_length() - 1
                 placed |= 1 << w
                 return chosen[:level] + [w] + [
                     v for v in range(n) if not placed >> v & 1]
+            row >>= 1
         if level == n - 1:
             # the last vertex is forced: a complete equal relabelling,
             # which is an automorphism
@@ -171,7 +164,7 @@ def _greater_order(adj, n: int, t: list[int], twins: list[int]) -> list[int] | N
             cand[level] = eq
 
 
-def _child_twins(rows: list[int], twins: list[int], s: int) -> list[int]:
+def _child_twins(rows: tuple[int, ...], twins: list[int], s: int) -> list[int]:
     """``_twins`` of the parent ``rows`` extended by a vertex m adjacent to ``s``.
 
     Two parent vertices stay twins iff both lie on the same side of s.
@@ -192,26 +185,27 @@ def _child_twins(rows: list[int], twins: list[int], s: int) -> list[int]:
     return out
 
 
-def _children(rows: list[int], t: list[int], twins: list[int],
+def _children(parent: Graph, twins: list[int],
               keep: Callable[[Graph], bool] | None = None
-              ) -> Iterator[tuple[list[int], list[int], list[int]]]:
+              ) -> Iterator[tuple[Graph, list[int]]]:
     """Canonical one-vertex extensions of a canonical parent that pass
-    ``keep``, with their identity groups and twin masks, in ascending
-    order of the new vertex's group value.
+    ``keep``, with their twin masks, in ascending order of the new
+    vertex's group value.
 
     The new vertex m has group value g, its neighbour set s bit-reversed.
     Each g meets the cheap tests first and the canonicity search last:
 
     - the full search walks the identity labelling first, where the top
-      ``nl`` bits of g exceeding ``t[nl]`` at some level ``nl`` prove a
-      greater relabelling; that skips every g sharing those top bits;
+      ``nl`` bits of g exceeding the parent's group value at some level
+      ``nl`` prove a greater relabelling; that skips every g sharing them;
     - swapping parent twins u < w fixes the parent's code and, when s
       holds w but not u, raises g, so s must hold every lower twin of
       each of its vertices;
     - ``keep`` then sees the child, whose parent passed it;
-    - only the rest get the search.
+    - only the rest get the search, on the graph ``keep`` saw.
     """
-    m = len(rows)
+    m, rows = parent.n, parent.adj
+    t = _identity_groups(rows, m)
     lower = [tw & ((1 << v) - 1) for v, tw in enumerate(twins)]
     top = 1 << m
     g = 0
@@ -230,13 +224,12 @@ def _children(rows: list[int], t: list[int], twins: list[int],
                 need |= lower[low.bit_length() - 1]
                 x ^= low
             if not need & ~s:
-                child = [rows[i] | ((s >> i & 1) << m) for i in range(m)]
-                child.append(s)
-                if keep is None or keep(Graph._from_trusted(m + 1, tuple(child))):
-                    child_t = t + [g]
+                child = Graph._from_trusted(m + 1, tuple(
+                    [rows[i] | ((s >> i & 1) << m) for i in range(m)] + [s]))
+                if keep is None or keep(child):
                     child_twins = _child_twins(rows, twins, s)
-                    if _greater_order(child, m + 1, child_t, child_twins) is None:
-                        yield child, child_t, child_twins
+                    if _greater_order(child.adj, m + 1, child_twins) is None:
+                        yield child, child_twins
             g += 1
 
 
@@ -267,8 +260,7 @@ def canonical_label(g: Graph) -> Graph:
     climb ends, and it ends at the unique labelling with the greatest code.
     """
     while True:
-        order = _greater_order(g.adj, g.n, _identity_groups(g.adj, g.n),
-                               _twins(g.adj, g.n))
+        order = _greater_order(g.adj, g.n, _twins(g.adj, g.n))
         if order is None:
             return g
         g = _relabel(g, order)
@@ -292,42 +284,37 @@ def enumerate_graphs(task: EnumerationTask, *,
 
     Emission order is deterministic: depth-first over parents, children
     in ascending canonical-code order within each parent.  With a shard
-    plan, parents on ``n-1`` vertices are distributed round-robin.
+    plan, the parents on ``max(n-1, 1)`` vertices are dealt out round-robin.
 
-    ``hereditary``, when given, is a property closed under vertex
-    deletion.  It is called on the one-vertex graph and then on every
-    child, before the child's canonicity test, at every order up to
-    ``n``; it may assume that the child minus its last vertex has the
+    The walk carries a graph and its twin masks from the one-vertex
+    graph.  ``hereditary``, when given, is a property closed under
+    vertex deletion.  It is called on the one-vertex graph and then on
+    every child, before the child's canonicity test, at every order up
+    to ``n``; it may assume that the child minus its last vertex has the
     property.  A child that lacks it is neither extended nor yielded, so
-    every graph yielded has the property.
+    every graph yielded has the property and is the graph it was called on.
     """
     n = task.n
     shard = task.shard
-    if hereditary is not None and not hereditary(Graph._from_trusted(1, (0,))):
+    root = Graph._from_trusted(1, (0,))
+    if hereditary is not None and not hereditary(root):
         return
-    if n == 1:
-        if shard is None or shard[0] == 0:
-            yield Graph._from_trusted(1, (0,))  # one vertex is connected
-        return
-
     parent_counter = 0
 
-    def walk(rows: list[int], t: list[int], twins: list[int]) -> Iterator[list[int]]:
+    def walk(g: Graph, twins: list[int]) -> Iterator[Graph]:
         nonlocal parent_counter
-        m = len(rows)
-        if m == n:
-            yield rows
-            return
-        if m == n - 1 and shard is not None:
+        if g.n == max(n - 1, 1) and shard is not None:
             idx = parent_counter
             parent_counter += 1
             if idx % shard[1] != shard[0]:
                 return
-        for child, child_t, child_twins in _children(rows, t, twins, hereditary):
-            yield from walk(child, child_t, child_twins)
+        if g.n == n:
+            yield g
+            return
+        for child, child_twins in _children(g, twins, hereditary):
+            yield from walk(child, child_twins)
 
-    for rows in walk([0], [0], [1]):
-        g = Graph._from_trusted(n, tuple(rows))
+    for g in walk(root, [1]):
         if not task.connected_only or g.is_connected():
             yield g
 

@@ -275,23 +275,27 @@ def turan_bruteforce(n: int, pattern: ForbiddenPattern,
     ``source`` may be an iterable of graphs of order ``n``, or None for
     every pattern-free class of that order: both patterns are hereditary,
     so the walk tests each child before its canonicity test and neither
-    searches nor extends one that contains the pattern.  Each graph,
-    walked or read, is tested once.  For kK2 patterns the
-    result carries the clique/split regime from the closed formula; fan
-    patterns have no such trichotomy and get None.
+    searches nor extends one that contains the pattern.  For the fan
+    pattern the walk tests only fans through the child's new vertex, as
+    certification does.  Each graph, walked or read, is tested once.
+    For kK2 patterns the result carries the clique/split regime from the
+    closed formula; fan patterns have no such trichotomy and get None.
     """
-    if pattern.kind == "kk2":
-        free = lambda g: is_kk2_free(g, pattern.k)
-    else:
-        free = lambda g: is_fan_free(g, pattern.k)
+    k = pattern.k
+    free = is_kk2_free if pattern.kind == "kk2" else is_fan_free
     if source is None:
-        graphs = enumerate_graphs(EnumerationTask(n), hereditary=free)
+        hook = is_kk2_free if pattern.kind == "kk2" else _extension_fan_free
+        graphs = enumerate_graphs(EnumerationTask(n), hereditary=lambda g: hook(g, k))
     else:
-        graphs = (g for g in _of_order(source, n) if free(g))
+        graphs = _of_order(source, n)
 
+    read = 0
     best = -1
     extremal: list[str] = []
     for g in graphs:
+        read += 1
+        if source is not None and not free(g, k):
+            continue
         e = g.edge_count()
         if e < best:
             continue
@@ -299,8 +303,11 @@ def turan_bruteforce(n: int, pattern: ForbiddenPattern,
             best = e
             extremal = []
         extremal.append(canonical_form(g).text)
-    if best < 0:
+    if read == 0:
         raise RuntimeError("source yielded no graphs")
+    if best < 0:
+        raise RuntimeError(f"none of the {read} graphs read is "
+                           f"{pattern.label()}-free")
 
     regime: Regime | None = None
     if pattern.kind == "kk2" and pattern.k >= 2 and n >= 2 * pattern.k - 1:

@@ -180,6 +180,17 @@ def test_certify_empty_survivor_messages(capsys, tmp_path):
                                       "--input", str(path)])
     assert code == 1 and out == ""
     assert "yielded no graphs" in err and "fan-free" not in err
+    # turan tells the same two cases apart; K5 holds a triangle, a 1-fan
+    path.write_text("D~{\n")
+    code, out, err = run_cli(capsys, ["turan", "--n", "5", "--pattern", "fan",
+                                      "--k", "1", "--input", str(path)])
+    assert code == 1 and out == ""
+    assert "none of the 1 graphs read is F1-free" in err
+    path.write_text("")
+    code, out, err = run_cli(capsys, ["turan", "--n", "5", "--pattern", "fan",
+                                      "--k", "1", "--input", str(path)])
+    assert code == 1 and out == ""
+    assert "yielded no graphs" in err and "free" not in err
 
 
 def test_certify_tsv_matches_json(capsys):

@@ -163,7 +163,7 @@ def test_canonicity_kernel_matches_brute_force():
             adj = list(g.adj)
             identity = _colex_code(adj, n, range(n))
             best = max(_colex_code(adj, n, order) for order in orders)
-            order = _greater_order(adj, n, _identity_groups(adj, n), _twins(adj, n))
+            order = _greater_order(adj, n, _twins(adj, n))
             assert (order is None) == (identity == best), (n, adj)
             if order is not None:
                 assert sorted(order) == list(range(n))
@@ -218,9 +218,9 @@ def test_children_search_only_what_the_prefilters_cannot_reject(monkeypatch):
     # and the twin-order rule rejects some the identity prefix cannot
     searched = []
 
-    def recording(adj, n, t, twins):
+    def recording(adj, n, twins):
         searched.append(adj[-1])
-        return _greater_order(adj, n, t, twins)
+        return _greater_order(adj, n, twins)
 
     monkeypatch.setattr(enumeration, "_greater_order", recording)
     by_twins = 0
@@ -229,10 +229,10 @@ def test_children_search_only_what_the_prefilters_cannot_reject(monkeypatch):
             adj = list(g.adj)
             t = _identity_groups(adj, n)
             searched.clear()
-            kept = [child[-1] for child, _, _ in _children(adj, t, _twins(adj, n))]
+            kept = [child.adj[-1] for child, _ in _children(g, _twins(adj, n))]
             for s, rows in _extensions(g):
                 child_t = _identity_groups(rows, n + 1)
-                canonical = _greater_order(rows, n + 1, child_t, _twins(rows, n + 1)) is None
+                canonical = _greater_order(rows, n + 1, _twins(rows, n + 1)) is None
                 assert (s in kept) == canonical, (graph6_encode(g), s)
                 if s not in searched:
                     assert not canonical, (graph6_encode(g), s)
@@ -282,9 +282,13 @@ def test_hereditary_prune_keeps_every_free_class(classes_to_8, k):
     # walk must keep every fan-free class, in the same emission order
     free = lambda g: is_fan_free(g, k)
     for n, graphs in classes_to_8.items():
-        pruned = list(enumerate_graphs(EnumerationTask(n), hereditary=free))
+        seen = []
+        pruned = list(enumerate_graphs(EnumerationTask(n),
+                                       hereditary=lambda g: seen.append(g) or free(g)))
         assert ([graph6_encode(g) for g in pruned if free(g)]
                 == [graph6_encode(g) for g in graphs if free(g)]), n
+        # each graph yielded is the object the hook saw, not a copy
+        assert {id(g) for g in pruned} <= {id(g) for g in seen}, n
         if n == 8:
             assert sum(map(free, pruned)) == {2: 2290, 3: 8820}[k]
             assert len(pruned) < len(graphs)  # fan-containing parents pruned
@@ -293,6 +297,10 @@ def test_hereditary_prune_keeps_every_free_class(classes_to_8, k):
     pieces = sorted(graph6_encode(g) for index in range(3) for g in enumerate_graphs(
         EnumerationTask(7, shard=(index, 3)), hereditary=free))
     assert pieces == full
+    # a property the one-vertex graph lacks is had by no graph
+    for n, shard in itertools.product((1, 4), (None, (0, 2), (1, 2))):
+        assert not list(enumerate_graphs(EnumerationTask(n, shard=shard),
+                                         hereditary=lambda g: False)), (n, shard)
 
 
 def test_hereditary_prune_count_n9():
