@@ -15,18 +15,25 @@ together with all its descendants: the PRUNE hook of orderly generation
 The hook runs on each child before its canonicity test, so only children
 with the property are searched, and every leaf has it.
 
-One search serves both the canonicity test and the canonical form: a
-depth-first search for a lexicographically greater relabelling over
-candidate bitmasks, pruned by interchangeable-vertex (twin) classes.
-The canonicity test asks whether it finds none; the canonical form
-relabels by each greater order it finds until it finds none.  Before any
-search, each parent rejects the extensions that already lose on the
+One search engine serves the canonical form and every canonicity test:
+a depth-first search for a lexicographically greater relabelling over
+candidate bitmasks, pruned by interchangeable-vertex (twin) classes,
+that can start from a given equal prefix and record the equal prefixes
+it reaches.  The canonical form relabels by each greater order it finds
+until it finds none.  A child's canonicity test starts from its
+parent's search: the parent is canonical, so along a prefix of parent
+vertices only the new vertex can beat or tie the identity.  A parent
+records the equal prefixes of its own search once per pattern of twin
+classes that its children split, each child compares its new vertex
+along all of them with a few integer operations, and the engine
+searches on only from the prefixes where the new vertex ties.  Before
+that, each parent rejects the extensions that already lose on the
 identity labelling, which is most of them, and those whose new vertex
 is adjacent to a parent vertex but not to a lower twin of it, since
 swapping the two twins gives a greater code (Read's orderly scheme,
 "Every one a winner", Ann. Discrete Math. 2, 1978).  The walk carries
 a graph and its twin masks, nothing else: a child's masks follow from
-its parent's, and the hook, the search and the output share one graph.
+its parent's, and the hook, the tests and the output share one graph.
 
 ``count_classes`` counts the classes of an order without building them,
 so a pruned walk can still report how many classes exist.
@@ -39,7 +46,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .graphs import Graph, Graph6Error, graph6_decode, graph6_encode
 
@@ -108,42 +115,34 @@ def _identity_groups(adj, n: int) -> list[int]:
     return [_reverse_bits(adj[j], j) for j in range(n)]
 
 
-def _greater_order(adj, n: int, twins: list[int]) -> list[int] | None:
-    """A vertex order whose code beats the identity's, or None when the
-    identity labelling of ``adj`` is canonical.
+def _greater_order(adj, n: int, twins: list[int], prefix: Sequence[int] = (),
+                   record: list | None = None) -> list[int] | None:
+    """A vertex order starting with ``prefix`` whose code beats the
+    identity's, or None when there is none.
 
-    ``twins`` holds the ``_twins`` masks; bit i of ``adj[j]`` is the
-    identity's adjacency at level j to position i.  The search places
-    vertices level by level; the candidates for the next level are the
-    unplaced vertices whose group value equals the identity's, kept as a
-    bitmask, and any unplaced vertex whose group value exceeds it proves
-    a greater relabelling: the placed vertices, that vertex, then the
-    rest in ascending order.  Candidates are taken lowest first, one per
-    twin class.
+    ``twins[v]`` holds v and vertices whose transposition with v is an
+    automorphism: the ``_twins`` masks or a refinement of them.  Bit i of
+    ``adj[j]`` is the identity's adjacency at level j to position i.  ``prefix``, shorter than n, must
+    be equal: every vertex in it has the identity's group value at its
+    level.  From the empty prefix, None means the identity labelling is
+    canonical.  The search places vertices level by level; the
+    candidates for the next level are the unplaced vertices whose group
+    value equals the identity's, kept as a bitmask, and any unplaced
+    vertex whose group value exceeds it proves a greater relabelling: the
+    placed vertices, that vertex, then the rest in ascending order.
+    Candidates are taken lowest first, one per twin class.  ``record``,
+    when given, receives every equal prefix reached, with its candidate
+    mask, in the order the search reaches them.
     """
-    if n <= 1:
-        return None
     full = (1 << n) - 1
-    chosen = [0] * n
-    placed_adj = [0] * n  # adjacency of the vertex placed at each position
-    cand = [0] * n
-    cand[0] = full
+    base = level = len(prefix)
+    chosen = list(prefix) + [0] * (n - base)
+    placed_adj = [adj[v] for v in chosen]  # adjacency of the vertex at each position
     placed = 0
-    level = 0
+    for v in prefix:
+        placed |= 1 << v
+    cand = [0] * n
     while True:
-        c = cand[level]
-        if not c:
-            level -= 1
-            if level < 0:
-                return None
-            placed &= ~(1 << chosen[level])
-            continue
-        u = (c & -c).bit_length() - 1
-        cand[level] = c & ~twins[u]
-        chosen[level] = u
-        placed_adj[level] = adj[u]
-        placed |= 1 << u
-        level += 1
         eq = full & ~placed
         row = adj[level]
         for a in placed_adj[:level]:
@@ -155,13 +154,22 @@ def _greater_order(adj, n: int, twins: list[int]) -> list[int] | None:
                 return chosen[:level] + [w] + [
                     v for v in range(n) if not placed >> v & 1]
             row >>= 1
-        if level == n - 1:
-            # the last vertex is forced: a complete equal relabelling,
-            # which is an automorphism
+        if record is not None:
+            record.append((chosen[:level], eq))
+        # the last vertex is forced: an equal one completes an automorphism
+        cand[level] = eq if level < n - 1 else 0
+        while not cand[level]:
+            if level == base:
+                return None
             level -= 1
-            placed &= ~(1 << u)
-        else:
-            cand[level] = eq
+            placed &= ~(1 << chosen[level])
+        c = cand[level]
+        u = (c & -c).bit_length() - 1
+        cand[level] = c & ~twins[u]
+        chosen[level] = u
+        placed_adj[level] = adj[u]
+        placed |= 1 << u
+        level += 1
 
 
 def _child_twins(rows: tuple[int, ...], twins: list[int], s: int) -> list[int]:
@@ -185,6 +193,105 @@ def _child_twins(rows: tuple[int, ...], twins: list[int], s: int) -> list[int]:
     return out
 
 
+class _PrefixTree(NamedTuple):
+    """The equal prefixes of a canonical parent's search, packed one field
+    of m+1 bits per prefix: prefix k's field starts at bit k(m+1), and
+    position i is bit m-1-i of a field, so fields compare as group values.
+    ``at[v]`` marks v at its position in every prefix that holds it, and
+    ``ident`` holds the identity's group value at each prefix's level.
+    ``complete`` has bit 0 of each field of full length, whose level is
+    the new vertex's own, and ``guards`` bit m of every field."""
+
+    prefixes: list[list[int]]
+    at: list[int]
+    ident: int
+    complete: int
+    guards: int
+
+
+def _prefix_tree(rows: tuple[int, ...], twins: list[int]) -> _PrefixTree:
+    """Every equal prefix that the search of the canonical parent ``rows``
+    reaches under the twin masks ``twins``, the complete orders included.
+
+    The search reaches them depth first, so the prefixes that extend a
+    prefix follow it in one block, and each prefix marks its last vertex
+    in all of them at once.
+    """
+    m = len(rows)
+    width = m + 1
+    reached: list = []
+    _greater_order(rows, m, twins, record=reached)
+    prefixes = []
+    for prefix, eq in reached:
+        prefixes.append(prefix)
+        if len(prefix) == m - 1 and eq:
+            prefixes.append(prefix + [eq.bit_length() - 1])
+    ones = ((1 << len(prefixes) * width) - 1) // ((1 << width) - 1)
+    groups = [t << m - level for level, t in enumerate(_identity_groups(rows, m))]
+    at = [0] * m
+    ident = complete = 0
+    open_blocks: list[tuple[int, int, int]] = []  # (level, first bit, last vertex)
+    # the empty prefix appended last closes every block still open
+    for k, prefix in enumerate(prefixes + [[]]):
+        base = k * width
+        level = len(prefix)
+        while open_blocks and open_blocks[-1][0] >= level:
+            closed, start, v = open_blocks.pop()
+            at[v] |= (ones & (1 << base) - (1 << start)) << m - closed
+        if level:
+            open_blocks.append((level, base, prefix[-1]))
+        if level == m:
+            complete |= 1 << base
+        else:
+            ident |= groups[level] << base
+    return _PrefixTree(prefixes, at, ident, complete, ones << m)
+
+
+def _canonical_child(rows: tuple[int, ...], trees: dict, child: Graph,
+                     child_twins: list[int]) -> bool:
+    """Whether the identity labelling of ``child``, the canonical parent
+    ``rows`` plus a last vertex m, is canonical.
+
+    On a prefix of parent vertices no parent vertex beats the identity,
+    since the parent is canonical, so the child's search over such
+    prefixes is the parent's search under the child's twin masks, and
+    only m can win or tie there.  Its group value along a prefix is the
+    bits of its neighbour set s at the prefix's vertices.  ``trees``
+    caches one ``_PrefixTree`` per twin pattern, and m is compared along
+    all of its prefixes at once.  A win rejects the child; from each tie
+    the search goes on with m placed next, unless an unplaced twin of m
+    stands in for it.  The empty prefix is a tie, so this includes the
+    search that places m first.
+    """
+    m = len(rows)
+    parent = (1 << m) - 1
+    pattern = tuple(tw & parent for tw in child_twins[:m])
+    tree = trees.get(pattern)
+    if tree is None:
+        tree = trees[pattern] = _prefix_tree(rows, list(pattern))
+    s = child.adj[m]
+    mine = 0
+    for v in range(m):
+        if s >> v & 1:
+            mine |= tree.at[v]
+    ident = tree.ident | tree.complete * _reverse_bits(s, m)
+    guards = tree.guards
+    if ((ident | guards) - mine) & guards != guards:
+        return False
+    # m ties where it does not lose; on a complete prefix that is an automorphism
+    ties = ((mine | guards) - ident) & guards & ~(tree.complete << m)
+    stand_ins = child_twins[m] & parent
+    while ties:
+        low = ties & -ties
+        ties ^= low
+        prefix = tree.prefixes[(low.bit_length() - 1) // (m + 1)]
+        if stand_ins and stand_ins & ~sum(1 << v for v in prefix):
+            continue
+        if _greater_order(child.adj, m + 1, child_twins, prefix + [m]) is not None:
+            return False
+    return True
+
+
 def _children(parent: Graph, twins: list[int],
               keep: Callable[[Graph], bool] | None = None
               ) -> Iterator[tuple[Graph, list[int]]]:
@@ -193,20 +300,23 @@ def _children(parent: Graph, twins: list[int],
     vertex's group value.
 
     The new vertex m has group value g, its neighbour set s bit-reversed.
-    Each g meets the cheap tests first and the canonicity search last:
+    Each g meets the cheap tests first and the canonicity test last:
 
-    - the full search walks the identity labelling first, where the top
-      ``nl`` bits of g exceeding the parent's group value at some level
-      ``nl`` prove a greater relabelling; that skips every g sharing them;
+    - the child's search walks the identity labelling first, where the
+      top ``nl`` bits of g exceeding the parent's group value at some
+      level ``nl`` prove a greater relabelling; that skips every g
+      sharing them;
     - swapping parent twins u < w fixes the parent's code and, when s
       holds w but not u, raises g, so s must hold every lower twin of
       each of its vertices;
     - ``keep`` then sees the child, whose parent passed it;
-    - only the rest get the search, on the graph ``keep`` saw.
+    - only the rest get ``_canonical_child``, on the graph ``keep`` saw,
+      with the prefix trees of this parent shared among them.
     """
     m, rows = parent.n, parent.adj
     t = _identity_groups(rows, m)
     lower = [tw & ((1 << v) - 1) for v, tw in enumerate(twins)]
+    trees: dict = {}
     top = 1 << m
     g = 0
     while g < top:
@@ -228,7 +338,7 @@ def _children(parent: Graph, twins: list[int],
                     [rows[i] | ((s >> i & 1) << m) for i in range(m)] + [s]))
                 if keep is None or keep(child):
                     child_twins = _child_twins(rows, twins, s)
-                    if _greater_order(child.adj, m + 1, child_twins) is None:
+                    if _canonical_child(rows, trees, child, child_twins):
                         yield child, child_twins
             g += 1
 

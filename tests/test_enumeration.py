@@ -10,8 +10,8 @@ import pytest
 from fanfree.cli import main
 from fanfree import enumeration
 from fanfree.enumeration import (ENUMERATION_MAX_N, EnumerationTask,
-                                 _child_twins, _children, _greater_order,
-                                 _identity_groups, _twins,
+                                 _canonical_child, _child_twins, _children,
+                                 _greater_order, _identity_groups, _twins,
                                  are_isomorphic, canonical_form,
                                  canonical_label, count_classes,
                                  enumerate_graphs, stream_graph6,
@@ -19,7 +19,8 @@ from fanfree.enumeration import (ENUMERATION_MAX_N, EnumerationTask,
 from fanfree.fans import _extension_fan_free, is_fan_free
 from fanfree.graphs import (Graph, Graph6Error, circulant_graph,
                             complete_bipartite, complete_graph, cycle_graph,
-                            graph6_encode, make_fan, make_split, path_graph)
+                            graph6_decode, graph6_encode, make_fan, make_split,
+                            path_graph)
 
 from helpers import all_labeled_graphs, permuted, random_graph
 
@@ -155,19 +156,37 @@ def _colex_code(adj, n, order):
     return code
 
 
+def _is_equal_prefix(adj, prefix):
+    """Whether each vertex of ``prefix`` has the identity's group value at
+    its level: the relabelling agrees with the identity on those levels."""
+    return all(adj[prefix[j]] >> prefix[i] & 1 == adj[j] >> i & 1
+               for j in range(len(prefix)) for i in range(j))
+
+
 def test_canonicity_kernel_matches_brute_force():
-    # canonical means no relabelling has a greater code: try all n! of them
+    # canonical means no relabelling has a greater code: try all n! of
+    # them, and from each equal prefix every order that extends it
     for n in range(1, 6):
         orders = list(itertools.permutations(range(n)))
         for g in all_labeled_graphs(n):
             adj = list(g.adj)
+            twins = _twins(adj, n)
             identity = _colex_code(adj, n, range(n))
-            best = max(_colex_code(adj, n, order) for order in orders)
-            order = _greater_order(adj, n, _twins(adj, n))
-            assert (order is None) == (identity == best), (n, adj)
-            if order is not None:
-                assert sorted(order) == list(range(n))
-                assert _colex_code(adj, n, order) > identity, (n, adj)
+            best = {}
+            for order in orders:
+                code = _colex_code(adj, n, order)
+                for length in range(n):
+                    best[order[:length]] = max(best.get(order[:length], code), code)
+            assert _greater_order(adj, n, twins) == _greater_order(adj, n, twins, [])
+            for prefix, most in best.items():
+                if not _is_equal_prefix(adj, prefix):
+                    continue
+                order = _greater_order(adj, n, twins, list(prefix))
+                assert (order is None) == (most <= identity), (n, adj, prefix)
+                if order is not None:
+                    assert sorted(order) == list(range(n))
+                    assert tuple(order[:len(prefix)]) == prefix
+                    assert _colex_code(adj, n, order) > identity, (n, adj, prefix)
 
 
 def test_canonical_label_matches_brute_force():
@@ -213,16 +232,44 @@ def test_child_twins_equal_recomputed_twins():
                     (graph6_encode(g), s)
 
 
+def test_canonical_child_equals_full_search():
+    # the parent's prefix trees decide as the child's own search does: on
+    # every extension of every class with n <= 6, not only those the
+    # prefilters pass, and on the first extensions, of order 8, that only
+    # the search placing the new vertex first rejects
+    cases = [(g, range(1 << n)) for n in range(1, 7)
+             for g in enumerate_graphs(EnumerationTask(n))]
+    cases += [(graph6_decode(text), [0b1111000]) for text in ("F{`P?", "F{`PO", "F{`QO")]
+    verdicts = []
+    trees_built = 0
+    for g, neighbour_sets in cases:
+        n = g.n
+        twins = _twins(g.adj, n)
+        trees = {}
+        for s in neighbour_sets:
+            rows = [row | (s >> i & 1) << n for i, row in enumerate(g.adj)] + [s]
+            child = Graph._from_trusted(n + 1, tuple(rows))
+            canonical = _greater_order(rows, n + 1, _twins(rows, n + 1)) is None
+            assert _canonical_child(g.adj, trees, child,
+                                    _child_twins(g.adj, twins, s)) == canonical, \
+                (graph6_encode(g), s)
+            verdicts.append(canonical)
+        trees_built += len(trees)
+    assert len(verdicts) == 11290 + 3
+    assert verdicts[-3:] == [False] * 3
+    assert trees_built < len(verdicts)  # each tree serves several neighbour sets
+
+
 def test_children_search_only_what_the_prefilters_cannot_reject(monkeypatch):
     # every extension a parent rejects without a search is not canonical,
     # and the twin-order rule rejects some the identity prefix cannot
     searched = []
 
-    def recording(adj, n, twins):
-        searched.append(adj[-1])
-        return _greater_order(adj, n, twins)
+    def recording(rows, trees, child, child_twins):
+        searched.append(child.adj[-1])
+        return _canonical_child(rows, trees, child, child_twins)
 
-    monkeypatch.setattr(enumeration, "_greater_order", recording)
+    monkeypatch.setattr(enumeration, "_canonical_child", recording)
     by_twins = 0
     for n in range(1, 7):
         for g in enumerate_graphs(EnumerationTask(n)):
