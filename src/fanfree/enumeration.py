@@ -131,8 +131,9 @@ def _greater_order(adj, n: int, twins: list[int], prefix: Sequence[int] = (),
     vertex whose group value exceeds it proves a greater relabelling: the
     placed vertices, that vertex, then the rest in ascending order.
     Candidates are taken lowest first, one per twin class.  ``record``,
-    when given, receives every equal prefix reached, with its candidate
-    mask, in the order the search reaches them.
+    when given, receives every equal prefix reached, as bytes, in the
+    order the search reaches them, and after each prefix of length n-1
+    its complete order when that is equal too.
     """
     full = (1 << n) - 1
     base = level = len(prefix)
@@ -155,7 +156,9 @@ def _greater_order(adj, n: int, twins: list[int], prefix: Sequence[int] = (),
                     v for v in range(n) if not placed >> v & 1]
             row >>= 1
         if record is not None:
-            record.append((chosen[:level], eq))
+            record.append(bytes(chosen[:level]))
+            if level == n - 1 and eq:
+                record.append(record[-1] + bytes((eq.bit_length() - 1,)))
         # the last vertex is forced: an equal one completes an automorphism
         cand[level] = eq if level < n - 1 else 0
         while not cand[level]:
@@ -202,7 +205,7 @@ class _PrefixTree(NamedTuple):
     ``complete`` has bit 0 of each field of full length, whose level is
     the new vertex's own, and ``guards`` bit m of every field."""
 
-    prefixes: list[list[int]]
+    prefixes: list[bytes]
     at: list[int]
     ident: int
     complete: int
@@ -219,20 +222,15 @@ def _prefix_tree(rows: tuple[int, ...], twins: list[int]) -> _PrefixTree:
     """
     m = len(rows)
     width = m + 1
-    reached: list = []
-    _greater_order(rows, m, twins, record=reached)
-    prefixes = []
-    for prefix, eq in reached:
-        prefixes.append(prefix)
-        if len(prefix) == m - 1 and eq:
-            prefixes.append(prefix + [eq.bit_length() - 1])
+    prefixes: list[bytes] = []
+    _greater_order(rows, m, twins, record=prefixes)
     ones = ((1 << len(prefixes) * width) - 1) // ((1 << width) - 1)
     groups = [t << m - level for level, t in enumerate(_identity_groups(rows, m))]
     at = [0] * m
     ident = complete = 0
     open_blocks: list[tuple[int, int, int]] = []  # (level, first bit, last vertex)
     # the empty prefix appended last closes every block still open
-    for k, prefix in enumerate(prefixes + [[]]):
+    for k, prefix in enumerate(prefixes + [b""]):
         base = k * width
         level = len(prefix)
         while open_blocks and open_blocks[-1][0] >= level:
@@ -287,7 +285,7 @@ def _canonical_child(rows: tuple[int, ...], trees: dict, child: Graph,
         prefix = tree.prefixes[(low.bit_length() - 1) // (m + 1)]
         if stand_ins and stand_ins & ~sum(1 << v for v in prefix):
             continue
-        if _greater_order(child.adj, m + 1, child_twins, prefix + [m]) is not None:
+        if _greater_order(child.adj, m + 1, child_twins, [*prefix, m]) is not None:
             return False
     return True
 
