@@ -2,10 +2,11 @@
 
 The eigensolver is cyclic Jacobi on the full dense matrix: orders are at
 most 64, so the O(n^3)-per-sweep cost is negligible, and Jacobi is
-backward-stable and easy to make deterministic.  Each rotation works on
-whole rows in numpy; ``rayleigh_power_lambda1`` provides an
-algorithmically independent cross-check of the dominant eigenvalue for
-tests.
+backward-stable and easy to make deterministic.  Row p of each (p, q)
+pass stays in a two-row buffer beside row q, so a rotation is one numpy
+multiply and one numpy add on that buffer; ``rayleigh_power_lambda1``
+provides an algorithmically independent cross-check of the dominant
+eigenvalue for tests.
 """
 
 from __future__ import annotations
@@ -121,19 +122,42 @@ def _offdiag_norm(a: np.ndarray) -> float:
 
 
 def _jacobi(a: np.ndarray, off_target: float, max_sweeps: int):
+    """Cyclic Jacobi sweeps on ``a`` in place; returns (residual, sweeps).
+
+    The pass over q for one p keeps row p in ``pair[0]`` and loads row q
+    into ``pair[1]``.  Two things keep every bit equal to rotating whole
+    rows of ``a`` with ``c*x - s*y``.  The products and the sums are
+    separate numpy calls, never a fused multiply-add: ``c*x + (-s)*y``
+    rounds like ``c*x - s*y``, since negation is exact.  And row and
+    column p are written back to ``a`` once per pass: the pass reads row
+    p from the buffer, and the stale column-p entry of each loaded row q
+    feeds only the entries that the pivot block overwrites.
+    """
     n = a.shape[0]
+    at = a.T
+    pair = np.empty((2, n))
+    rp, rq = pair
+    # terms[j, i] = rot[j, i] * pair[j]: the share of row j in the new row
+    # i, so the new pair is terms[0] + terms[1].  coef is a flat view of
+    # rot, because integer-indexed stores into it are the cheapest.
+    rot = np.empty((2, 2, 1))
+    coef = rot.reshape(4)
+    terms = np.empty((2, 2, n))
+    from_p, from_q = terms
+    by_source = pair[:, None, :]
     sweeps = 0
     off = _offdiag_norm(a)
     while off > off_target and sweeps < max_sweeps:
         for p in range(n - 1):
+            rp[:] = a[p]
             for q in range(p + 1, n):
                 # Scalar rotation in Python floats: an overflowing tau
                 # becomes inf silently and gives t = 0 (no rotation).
-                apq = float(a[p, q])
+                apq = rp.item(q)
                 if apq == 0.0:
                     continue
-                app = float(a[p, p])
-                aqq = float(a[q, q])
+                app = rp.item(p)
+                aqq = a.item(q, q)
                 tau = (aqq - app) / (2.0 * apq)
                 if tau >= 0.0:
                     t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
@@ -141,15 +165,20 @@ def _jacobi(a: np.ndarray, off_target: float, max_sweeps: int):
                     t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
-                # Rotate whole rows p and q (columns too, by symmetry), then
-                # set the four entries of the 2x2 pivot block.
-                rp = c * a[p] - s * a[q]
-                rq = s * a[p] + c * a[q]
+                # rp, rq = c*rp + (-s)*rq, s*rp + c*rq, then the four
+                # entries of the 2x2 pivot block; row q goes back to a as
+                # row and column q at once, row p after the pass.
+                rq[:] = a[q]
+                coef[0] = coef[3] = c
+                coef[1] = s
+                coef[2] = -s
+                np.multiply(rot, by_source, terms)
+                np.add(from_p, from_q, pair)
                 rp[p] = app - t * apq
                 rq[q] = aqq + t * apq
                 rp[q] = rq[p] = 0.0
-                a[p, :] = a[:, p] = rp
-                a[q, :] = a[:, q] = rq
+                a[q] = at[q] = rq
+            a[p] = at[p] = rp
         sweeps += 1
         off = _offdiag_norm(a)
     return off, sweeps
@@ -182,12 +211,15 @@ def rayleigh_power_lambda1(m: SymMatrix, tol: float = 1e-10,
 
     Independent of the Jacobi path; intended as a cross-check oracle.
     Valid for positive semidefinite input (where the dominant eigenvalue
-    is the largest one), which covers every signless Laplacian.
+    is the largest one), which covers every signless Laplacian.  Raises
+    RuntimeError if the residual is still above ``tol`` after
+    ``max_iter`` iterations.
     """
     a = m.entries
     n = m.order
     x = np.ones(n) / math.sqrt(n)
     lam = 0.0
+    residual = math.inf
     for _ in range(max_iter):
         y = a @ x
         norm = float(np.linalg.norm(y))
@@ -195,9 +227,12 @@ def rayleigh_power_lambda1(m: SymMatrix, tol: float = 1e-10,
             return 0.0
         x = y / norm
         lam = float(x @ (a @ x))
-        if float(np.linalg.norm(a @ x - lam * x)) <= tol * max(1.0, abs(lam)):
+        residual = float(np.linalg.norm(a @ x - lam * x))
+        if residual <= tol * max(1.0, abs(lam)):
             return lam
-    return lam
+    raise RuntimeError(
+        f"power iteration failed to converge in {max_iter} iterations "
+        f"(residual {residual:.3e}, last estimate {lam!r})")
 
 
 # -- signless Laplacian and formulas ----------------------------------

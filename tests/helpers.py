@@ -3,12 +3,15 @@
 Oracles here deliberately avoid the package's own algorithms: eigenvalues
 come from numpy.linalg, fan containment from a literal subset-embedding
 search, and matching numbers from exhaustive edge-subset search, so
-agreement is meaningful.
+agreement is meaningful.  The one exception is ``reference_spectrum``, an
+earlier version of the package's own Jacobi kernel kept only to check that
+the current kernel returns the very same bits.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -72,6 +75,62 @@ def numpy_q1(g: Graph) -> float:
 
 def numpy_spectrum(a: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(a)[::-1]
+
+
+def _reference_offdiag_norm(a: np.ndarray) -> float:
+    sq = a * a
+    np.fill_diagonal(sq, 0.0)
+    return math.sqrt(float(np.sum(sq)))
+
+
+def _reference_jacobi(a: np.ndarray, off_target: float, max_sweeps: int):
+    n = a.shape[0]
+    sweeps = 0
+    off = _reference_offdiag_norm(a)
+    while off > off_target and sweeps < max_sweeps:
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                # Scalar rotation in Python floats: an overflowing tau
+                # becomes inf silently and gives t = 0 (no rotation).
+                apq = float(a[p, q])
+                if apq == 0.0:
+                    continue
+                app = float(a[p, p])
+                aqq = float(a[q, q])
+                tau = (aqq - app) / (2.0 * apq)
+                if tau >= 0.0:
+                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
+                else:
+                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                # Rotate whole rows p and q (columns too, by symmetry), then
+                # set the four entries of the 2x2 pivot block.
+                rp = c * a[p] - s * a[q]
+                rq = s * a[p] + c * a[q]
+                rp[p] = app - t * apq
+                rq[q] = aqq + t * apq
+                rp[q] = rq[p] = 0.0
+                a[p, :] = a[:, p] = rp
+                a[q, :] = a[:, q] = rq
+        sweeps += 1
+        off = _reference_offdiag_norm(a)
+    return off, sweeps
+
+
+def reference_spectrum(entries: np.ndarray, off_factor: float,
+                       max_sweeps: int) -> tuple[tuple[float, ...], float, int]:
+    """(eigenvalues, residual, sweeps) of the whole-row Jacobi kernel.
+
+    This is ``spectral._jacobi`` as it was before it rotated a two-row
+    buffer: each rotation recomputes rows p and q of the matrix with
+    separate numpy multiplies and a subtract or add, and writes both rows
+    and columns back at once.
+    """
+    a = np.array(entries, dtype=np.float64)
+    off, sweeps = _reference_jacobi(a, off_factor * a.shape[0], max_sweeps)
+    eig = tuple(sorted((float(x) for x in np.diag(a)), reverse=True))
+    return eig, float(off), int(sweeps)
 
 
 def brute_matching_number(g: Graph) -> int:

@@ -12,6 +12,7 @@ from fanfree.enumeration import EnumerationTask, enumerate_graphs
 from fanfree.graphs import (complete_bipartite, complete_graph, cycle_graph,
                             disjoint_union, empty_graph, graph6_decode,
                             graph6_encode, make_split, path_graph)
+from fanfree.search import efgg_construction
 from fanfree.spectral import (EIGEN_ACCURACY, JACOBI_OFF_FACTOR,
                               JACOBI_SWEEP_BUDGET, QuotientMatrix,
                               SpectrumResult, SymMatrix, VertexPartition,
@@ -22,8 +23,8 @@ from fanfree.spectral import (EIGEN_ACCURACY, JACOBI_OFF_FACTOR,
                               rayleigh_power_lambda1, signless_laplacian,
                               spectrum, split_quotient)
 
-from helpers import (numpy_q1, numpy_spectrum, random_connected_graph,
-                     random_graph, random_regular_graph)
+from helpers import (numpy_q1, numpy_spectrum, permuted, random_connected_graph,
+                     random_graph, random_regular_graph, reference_spectrum)
 
 
 def test_sym_matrix_validation():
@@ -73,6 +74,56 @@ def test_spectrum_convergence_reporting():
         expected = np.linalg.eigvalsh(m.entries)[::-1]
         assert np.max(np.abs(np.array(res.eigenvalues) - expected)) < 1e-12
     assert spectrum(SymMatrix(np.array([[2.5]]))) == SpectrumResult((2.5,), 0.0, 0)
+
+
+def _assert_same_bits_as_reference(m: SymMatrix, off_factor: float = JACOBI_OFF_FACTOR):
+    got = spectrum(m, _off_factor=off_factor)
+    eig, off, sweeps = reference_spectrum(m.entries, off_factor, JACOBI_SWEEP_BUDGET)
+    assert [x.hex() for x in got.eigenvalues] == [x.hex() for x in eig]
+    assert got.offdiag_residual.hex() == off.hex()
+    assert got.sweeps == sweeps
+    return got
+
+
+def test_spectrum_bits_match_whole_row_kernel():
+    # the certify-n8 near-maximal graphs, whose q1 digits are pinned by
+    # the benchmark, and D{O
+    for text in ("G}rEE?", "G}rE@{", "G}rEC?", "G}rE@w", "G}rE@o", "D{O"):
+        m = signless_laplacian(graph6_decode(text))
+        _assert_same_bits_as_reference(m)
+        _assert_same_bits_as_reference(m, 1e-14)  # the certificate's tie re-check
+    # a labelling of efgg_construction(31, 2) in the clustered slow tail
+    g, _ = efgg_construction(31, 2)
+    g = permuted(g, random.Random(0).sample(range(31), 31))
+    assert _assert_same_bits_as_reference(signless_laplacian(g)).sweeps >= 19
+    for entries in ([[2.5]], [[0.0]], [[1.0, 1.0], [1.0, 1.0]],
+                    [[-0.5, 3e-300], [3e-300, 7.0]], [[0.0, -2.0], [-2.0, 0.0]]):
+        _assert_same_bits_as_reference(SymMatrix(entries))
+        _assert_same_bits_as_reference(SymMatrix(entries), 1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_spectrum_bits_match_whole_row_kernel_random(data):
+    seed = data.draw(st.integers(0, 10 ** 6))
+    rng = random.Random(seed)
+    n = data.draw(st.integers(1, 20))
+    g = random_graph(rng, n, rng.random())
+    _assert_same_bits_as_reference(signless_laplacian(g))
+    # float matrices, as quotient_eigenvalues passes to spectrum
+    a = np.random.default_rng(seed).standard_normal((n, n))
+    if data.draw(st.booleans()):
+        a[np.random.default_rng(seed + 1).random((n, n)) < 0.5] = 0.0
+    _assert_same_bits_as_reference(SymMatrix((a + a.T) / 2.0))
+
+
+def test_rayleigh_power_raises_when_budget_runs_out():
+    # P3 would not do: Q(P3) maps the all-ones start to its Perron vector
+    # (1, 2, 1) in one step.  Q(P4) needs about 45 steps.
+    p3 = signless_laplacian(path_graph(3))
+    assert abs(rayleigh_power_lambda1(p3, max_iter=2) - 3) < 1e-12
+    with pytest.raises(RuntimeError, match=r"2 iterations \(residual [0-9.e+-]+, "):
+        rayleigh_power_lambda1(signless_laplacian(path_graph(4)), max_iter=2)
 
 
 def test_rayleigh_power_matches_jacobi():
