@@ -2,7 +2,7 @@
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH_x.json
         --workloads stream-mixed certify-n8 --seeds 301 302 303 --pairs 10
-        [--trace-seed S] [--claim stream-mixed:wall_norm_s] [--extra FILE.json]
+        [--trace-seed S] [--claim stream-mixed:wall_norm_s]
 
 DIR is a full checkout of each side.  Pair i runs ``perfbench/run.py``
 once in each checkout with seed ``seeds[i % len(seeds)]``; even pairs run
@@ -23,9 +23,9 @@ differ by more than the parent's quartile distance.
 The record is rewritten after every run, and an existing --out file is
 updated in place: workloads run now replace their earlier entries, the
 others are kept, and the verdicts are worked out again for all of them,
-so one record can be built over several calls.  --extra merges the
-top-level keys of a JSON file into the record, for numbers this script
-does not measure.
+so one record can be built over several calls.  Other top-level keys of
+the file are kept as they are, so numbers this script does not measure
+can be written there.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ def metric_row(metric: dict, runs: dict) -> dict:
         "unit": metric["unit"],
         "parent": p,
         "change": c,
-        "change_vs_parent": round(c["median"] / p["median"] - 1, 4) if p["median"] else None,
+        "change_vs_parent": round(c["median"] / p["median"] - 1, 4),
         "change_wins": sum(sign * (b - a) < 0 for a, b in zip(parent, change)),
         "parent_runs": [round(x, 4) for x in parent],
         "change_runs": [round(x, 4) for x in change],
@@ -94,7 +94,7 @@ def no_regression(metrics: list[dict], entry: dict) -> dict:
     for m in metrics:
         row = entry[m["name"]]
         sign = 1 if m["better"] == "lower" else -1
-        worse = sign * (row["change_vs_parent"] or 0.0)
+        worse = sign * row["change_vs_parent"]
         spread = row["parent_quartile_distance"] / row["parent"]["median"]
         beats_all = (max(sign * x for x in row["change_runs"])
                      < min(sign * x for x in row["parent_runs"]))
@@ -149,7 +149,6 @@ def main() -> int:
     parser.add_argument("--trace-seed", type=int)
     parser.add_argument("--claim", action="append", default=[],
                         help="WORKLOAD:METRIC whose gain the record states")
-    parser.add_argument("--extra", type=Path)
     args = parser.parse_args()
     pairs = args.pairs or len(args.seeds)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -164,8 +163,6 @@ def main() -> int:
     record["machine"] = (f"{os.cpu_count()} CPUs ({platform.processor() or platform.machine()}); "
                          f"Python {platform.python_version()}")
     record["src_lines"] = {side: src_lines(path) for side, path in checkouts.items()}
-    if args.extra:
-        record.update(json.loads(args.extra.read_text()))
     e2e = record.setdefault("end_to_end", {})
     e2e["how"] = (f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} "
                   "--trace 0 in each checkout, written by tools/bench_pairs.py; pair i uses "
