@@ -66,8 +66,9 @@ class CanonicalForm:
 class EnumerationTask:
     """Parameters for one exhaustive generation run.
 
-    ``shard`` splits the run by round-robin over the parents on ``n-1``
-    vertices; the union of all shards equals the unsharded run.
+    ``shard`` splits the run by round-robin over the classes on
+    ``max(n-2, 1)`` vertices, so each shard builds only their subtrees;
+    the union of all shards equals the unsharded run.
     """
 
     n: int
@@ -392,7 +393,8 @@ def enumerate_graphs(task: EnumerationTask, *,
 
     Emission order is deterministic: depth-first over parents, children
     in ascending canonical-code order within each parent.  With a shard
-    plan, the parents on ``max(n-1, 1)`` vertices are dealt out round-robin.
+    plan, the classes on ``max(n-2, 1)`` vertices are dealt out
+    round-robin, and a shard extends only the classes dealt to it.
 
     The walk carries a graph and its twin masks from the one-vertex
     graph.  ``hereditary``, when given, is a property closed under
@@ -407,15 +409,12 @@ def enumerate_graphs(task: EnumerationTask, *,
     root = Graph._from_trusted(1, (0,))
     if hereditary is not None and not hereditary(root):
         return
-    parent_counter = 0
+    deal = itertools.count()
 
     def walk(g: Graph, twins: list[int]) -> Iterator[Graph]:
-        nonlocal parent_counter
-        if g.n == max(n - 1, 1) and shard is not None:
-            idx = parent_counter
-            parent_counter += 1
-            if idx % shard[1] != shard[0]:
-                return
+        if (shard is not None and g.n == max(n - 2, 1)
+                and next(deal) % shard[1] != shard[0]):
+            return
         if g.n == n:
             yield g
             return

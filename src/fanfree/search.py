@@ -226,21 +226,15 @@ def certify_max_q1(n: int, k: int, source: Iterable[Graph] | None = None, *,
         raise RuntimeError(f"empty survivor set: none of the {total} graphs "
                            f"read is {k}-fan-free")
 
-    best_value = entries[0][0]
-    tied = [e for e in entries if best_value - e[0] <= MARGIN]
-    if len(tied) == 1:
-        unique = True
-        winner_text, winner_value = tied[0][1], tied[0][0]
-    else:
-        # re-verify apparent ties at tightened tolerance before
-        # conceding or claiming uniqueness
-        refined = sorted(
-            ((_tight_q1(graph6_decode(text)), text) for _, text in tied),
-            key=lambda t: (-t[0], t[1]))
-        tight_best = refined[0][0]
-        survivors = [e for e in refined if tight_best - e[0] <= MARGIN_TIGHT]
-        unique = len(survivors) == 1
-        winner_value, winner_text = survivors[0]
+    tied = [e for e in entries if entries[0][0] - e[0] <= MARGIN]
+    if len(tied) > 1:
+        # re-verify apparent ties at tightened tolerance; a lone winner
+        # keeps its value, so its printed digits do not move
+        tied = sorted(((_tight_q1(graph6_decode(text)), text) for _, text in tied),
+                      key=lambda t: (-t[0], t[1]))
+    survivors = [e for e in tied if tied[0][0] - e[0] <= MARGIN_TIGHT]
+    unique = len(survivors) == 1
+    winner_value, winner_text = survivors[0]
 
     winner_graph = graph6_decode(winner_text)
     if not is_fan_free(winner_graph, k):

@@ -27,8 +27,7 @@ JACOBI_SWEEP_BUDGET = 100
 # eigenvalue comparisons and of the certificate's bound pruning and
 # independent cross-check of the winner.
 EIGEN_ACCURACY = 1e-9
-# Slack for testing equitability of float-valued matrices (integer
-# matrices are compared exactly).
+# Largest spread of block row sums that still counts as equitable.
 EQUITABLE_SLACK = 1e-12
 
 
@@ -331,9 +330,10 @@ def _vertex_bounds(g: Graph) -> list[float | None]:
 def quotient(m: SymMatrix, p: VertexPartition) -> QuotientMatrix:
     """Block-averaged quotient matrix plus equitability flag.
 
-    Equitability is decided with exact integer row sums whenever the
-    matrix is integer-valued (always true for a signless Laplacian), and
-    with ``EQUITABLE_SLACK`` otherwise.
+    A block pair is equitable when its row sums spread by at most
+    ``EQUITABLE_SLACK``.  For an integer-valued matrix, such as a signless
+    Laplacian, the row sums are exact integers while they stay below
+    2**53, so their spread is 0 or at least 1 and the test is exact.
     """
     if p.order != m.order:
         raise ValueError("partition does not match matrix order")
@@ -341,15 +341,11 @@ def quotient(m: SymMatrix, p: VertexPartition) -> QuotientMatrix:
     arr = m.entries
     b = np.zeros((k, k))
     equitable = True
-    integer = m.is_integer_valued()
     for i, bi in enumerate(p.blocks):
         for j, bj in enumerate(p.blocks):
             rows = arr[np.ix_(bi, bj)].sum(axis=1)
             b[i, j] = float(rows.mean())
-            if integer:
-                if not np.all(rows == rows[0]):
-                    equitable = False
-            elif float(np.max(rows) - np.min(rows)) > EQUITABLE_SLACK:
+            if float(np.max(rows) - np.min(rows)) > EQUITABLE_SLACK:
                 equitable = False
     return QuotientMatrix(b, equitable, tuple(len(x) for x in p.blocks))
 

@@ -4,6 +4,7 @@ import hashlib
 import io
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -87,6 +88,30 @@ def test_shard_partition():
     # order one: only shard zero emits
     assert sum(1 for _ in enumerate_graphs(EnumerationTask(1, shard=(0, 3)))) == 1
     assert sum(1 for _ in enumerate_graphs(EnumerationTask(1, shard=(1, 3)))) == 0
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_shards_build_each_class_once(n):
+    # the hook sees every child the walk builds: over all shards, the
+    # children of orders n-1 and n are the unsharded walk's, each once
+    def built(shard, keep):
+        seen = Counter()
+
+        def hook(g):
+            if g.n >= n - 1:
+                seen[graph6_encode(g)] += 1
+            return keep(g)
+
+        for _ in enumerate_graphs(EnumerationTask(n, shard=shard), hereditary=hook):
+            pass
+        return seen
+
+    for keep in (lambda g: True, lambda g: _extension_fan_free(g, 2)):
+        whole = built(None, keep)
+        for count in (2, 3, 6):
+            parts = sum((built((index, count), keep) for index in range(count)),
+                        Counter())
+            assert parts == whole, count
 
 
 def test_task_validation():

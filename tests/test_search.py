@@ -12,7 +12,7 @@ from fanfree import search
 from fanfree.enumeration import EnumerationTask, canonical_form, enumerate_graphs
 from fanfree.fans import is_fan_free
 from fanfree.graphs import (complete_bipartite, complete_graph, graph6_decode,
-                            make_split)
+                            graph6_encode, make_split)
 from fanfree.matching import ForbiddenPattern, Regime, turan_kk2
 from fanfree.search import (MARGIN, MARGIN_TIGHT, ConstructionSpec,
                             certify_max_q1, certificate_payload,
@@ -51,6 +51,22 @@ def test_certify_tie_not_unique():
     assert cert.margin is not None and cert.margin < 1e-9
     tied = [t for t, v in cert.near_maximal if abs(v - 5) < 1e-9]
     assert len(tied) == 2  # K_{1,4} and K_{2,3}
+
+
+def test_certify_re_solves_only_ties(monkeypatch):
+    solved = []
+    tight = search._tight_q1
+    monkeypatch.setattr(search, "_tight_q1",
+                        lambda g: solved.append(graph6_encode(g)) or tight(g))
+    # a lone winner keeps its first value, which the certify-n8 bytes pin
+    assert certify_max_q1(8, 2).unique
+    assert solved == []
+    # every graph within MARGIN of the best is re-solved once
+    cert = certify_max_q1(5, 2)
+    best = cert.near_maximal[0][1]
+    tied = [t for t, v in cert.near_maximal if best - v <= MARGIN]
+    assert not cert.unique and len(tied) > 1
+    assert sorted(solved) == sorted(tied)
 
 
 def test_certify_stream_source():

@@ -268,6 +268,29 @@ def test_quotient_random_non_equitable():
     assert found_flags.count(True) < 10  # random partitions are rarely equitable
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_quotient_equitable_is_exact_on_integer_matrices(data):
+    # one slack decides every matrix; on integers it must equal row-sum
+    # equality in Python ints, also where entries near 2**40 make a
+    # spread of 1 tiny relative to the sums
+    seed = data.draw(st.integers(0, 10 ** 6))
+    rng = random.Random(seed)
+    n = rng.randint(1, 8)
+    offset = rng.choice((0, -1, 2 ** 40))
+    entries = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            entries[i][j] = entries[j][i] = offset + rng.randint(0, 1)
+    labels = [rng.randrange(rng.randint(1, n)) for _ in range(n)]
+    blocks = [tuple(v for v in range(n) if labels[v] == b) for b in sorted(set(labels))]
+    expect = all(
+        len({sum(entries[r][c] for c in bj) for r in bi}) == 1
+        for bi in blocks for bj in blocks)
+    q = quotient(SymMatrix(np.array(entries, dtype=np.float64)), VertexPartition(blocks))
+    assert q.equitable == expect
+
+
 def test_perron_dominance():
     g = complete_graph(5)
     h = g.without_edge(0, 1)
