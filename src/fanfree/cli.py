@@ -10,6 +10,7 @@ All reals are printed with 15 significant digits so output diffs round-trip.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import logging
 import sys
@@ -25,7 +26,7 @@ from .graphs import Graph, graph6_encode, split_parameter
 from .matching import ForbiddenPattern
 from .search import (_sig15, certify_max_q1, certificate_payload,
                      efgg_construction, efgg_in_regime, efgg_value,
-                     emit_certificate, turan_bruteforce)
+                     turan_bruteforce)
 from .spectral import (merris_bound, q1, q1_split_closed_form,
                        q1_split_lower_bound)
 
@@ -50,12 +51,19 @@ class _UsageError(Exception):
 
 @contextmanager
 def _opened(path: str | None, mode: str):
-    """The file at ``path``, or the standard stream for None or ``-``."""
-    if path is None or path == "-":
-        yield sys.stdin if mode == "r" else sys.stdout
-        return
-    with open(path, mode, encoding="ascii") as fh:
-        yield fh
+    """The file at ``path``, or the standard stream for None or ``-``.
+    Input is read as latin-1, so each byte reaches graph6 decoding as is."""
+    if path is not None and path != "-":
+        with open(path, mode, encoding="latin-1" if mode == "r" else "ascii") as fh:
+            yield fh
+    elif mode == "w" or not hasattr(sys.stdin, "buffer"):
+        yield sys.stdout if mode == "w" else sys.stdin
+    else:
+        stream = io.TextIOWrapper(sys.stdin.buffer, encoding="latin-1")
+        try:
+            yield stream
+        finally:
+            stream.detach()  # leave sys.stdin open
 
 
 def _read_graphs(path: str | None, fail_fast: bool) -> Iterable[Graph]:
@@ -126,11 +134,7 @@ def _cmd_certify(args) -> int:
     cert = certify_max_q1(args.n, args.k, source, jobs=args.jobs)
     logger.info("certify n=%d k=%d: scanned %d fan-free of %d classes in %.2fs",
                 cert.n, cert.k, cert.scanned, cert.total, cert.elapsed)
-    if args.format == "json":
-        with _opened(args.output, "w") as sink:
-            emit_certificate(cert, sink)
-    else:
-        _write(args, certificate_payload(cert))
+    _write(args, certificate_payload(cert))
     if cert.in_theorem_regime and not cert.winner_is_split:
         logger.warning("counterexample: winner %s is not the complete split graph",
                        cert.winner)

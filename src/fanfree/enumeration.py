@@ -44,6 +44,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import string
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
@@ -462,11 +463,13 @@ def _partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:
 def stream_graph6(lines: Iterable[str], *, fail_fast: bool = True) -> Iterator[Graph]:
     """Decode graph6 lines into graphs; blank lines are skipped.
 
-    Malformed lines raise ``Graph6Error`` tagged with the line number, or
-    are logged and skipped when ``fail_fast`` is off.
+    Only ASCII whitespace is stripped, so any other character stays in
+    the line for the decoder to reject.  Malformed lines raise
+    ``Graph6Error`` tagged with the line number, or are logged and
+    skipped when ``fail_fast`` is off.
     """
     for lineno, line in enumerate(lines, start=1):
-        text = line.strip()
+        text = line.strip(string.whitespace)
         if not text:
             continue
         try:

@@ -13,6 +13,7 @@ itself as outside the regime where uniqueness is asserted.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -117,12 +118,38 @@ def _trim(entries: list[tuple[float, str]]) -> list[tuple[float, str]]:
             if i < 5 or t[0] >= ranked[0][0] - MARGIN]
 
 
-def _of_order(graphs: Iterable[Graph], n: int) -> Iterator[Graph]:
-    """The graphs of a source, checked to have order ``n``."""
-    for g in graphs:
+def _pattern_free(n: int, pattern: ForbiddenPattern,
+                  source: Iterable[Graph] | None,
+                  shard: tuple[int, int] | None = None) -> Iterator[Graph]:
+    """The ``pattern``-free graphs of order ``n``, each tested once.
+
+    With no ``source``, the classes of the orderly walk (or of one
+    ``shard`` of it), which tests each child before its canonicity test,
+    for fans only in its new vertex, and extends no child that holds the
+    pattern; else the graphs of ``source``, each checked to have order
+    ``n`` and tested in full.  A source with no free graph is an error.
+    """
+    k = pattern.k
+    if pattern.kind == "kk2":
+        walk_test = full_test = is_kk2_free
+    else:
+        walk_test, full_test = _extension_fan_free, is_fan_free
+    if source is None:
+        yield from enumerate_graphs(EnumerationTask(n, shard=shard),
+                                    hereditary=lambda g: walk_test(g, k))
+        return
+    read = free = 0
+    for g in source:
         if g.n != n:
             raise ValueError(f"source produced a graph of order {g.n}, expected {n}")
-        yield g
+        read += 1
+        if full_test(g, k):
+            free += 1
+            yield g
+    if read == 0:
+        raise RuntimeError("the source yielded no graphs")
+    if free == 0:
+        raise RuntimeError(f"none of the {read} graphs read is {pattern.label()}-free")
 
 
 def _scan(graphs: Iterable[Graph]) -> tuple[list[tuple[float, str]], int]:
@@ -156,10 +183,9 @@ def _scan(graphs: Iterable[Graph]) -> tuple[list[tuple[float, str]], int]:
     return _trim(entries), len(survivors)
 
 
-def _scan_shard(args: tuple[int, int, int, int]):
-    n, k, index, count = args
-    task = EnumerationTask(n, shard=(index, count))
-    return _scan(enumerate_graphs(task, hereditary=lambda g: _extension_fan_free(g, k)))
+def _scan_shard(args: tuple[int, ForbiddenPattern, tuple[int, int] | None]):
+    n, pattern, shard = args
+    return _scan(_pattern_free(n, pattern, None, shard))
 
 
 def _tight_q1(g: Graph) -> float:
@@ -172,23 +198,18 @@ def certify_max_q1(n: int, k: int, source: Iterable[Graph] | None = None, *,
     the k-fan-free graphs of order ``n``.
 
     ``source`` may be an iterable of graphs of order ``n`` (for example
-    a decoded graph6 stream), or None for the default exhaustive run.
-    The default run builds only the fan-free classes: fan-freeness is
-    hereditary, so the walk fan-tests each child, incrementally in its
-    new vertex, before its canonicity test, and neither searches nor
-    extends a child that contains a fan.  Every graph the walk yields is
-    fan-free and is not tested again; each graph of a ``source`` is
-    fan-tested once.  The default run's ``total`` is the number of
-    isomorphism classes of order ``n``, counted by ``count_classes``;
-    with a ``source`` it is the number of graphs read.  The default run is
-    split into ``jobs`` round-robin enumeration shards, one per worker
-    process (scanned in this process when ``jobs`` is 1), and the parts
-    are merged deterministically, so the certificate does not depend on
-    ``jobs`` apart from ``elapsed``.  A ``source`` is scanned in one
-    process, so it cannot be combined with ``jobs`` above 1.
+    a decoded graph6 stream), or None for the default exhaustive run over
+    the fan-free classes (see ``_pattern_free``).  The default run's
+    ``total`` is the number of isomorphism classes of order ``n``,
+    counted by ``count_classes``; with a ``source`` it is the number of
+    graphs read.  The default run is split into ``jobs`` round-robin
+    enumeration shards, one per worker process (scanned in this process
+    when ``jobs`` is 1), and the parts are merged deterministically, so
+    the certificate does not depend on ``jobs`` apart from ``elapsed``.
+    A ``source`` is scanned in one process, so it cannot be combined
+    with ``jobs`` above 1.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
+    pattern = ForbiddenPattern("fan", k)
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     if source is not None and jobs != 1:
@@ -197,34 +218,21 @@ def certify_max_q1(n: int, k: int, source: Iterable[Graph] | None = None, *,
     t0 = time.perf_counter()
 
     if source is not None:
-        read = 0
-
-        def fan_free() -> Iterator[Graph]:
-            nonlocal read
-            for g in _of_order(source, n):
-                read += 1
-                if is_fan_free(g, k):
-                    yield g
-
-        parts = [_scan(fan_free())]
-        total = read
+        # zip draws from ``read`` once per graph the source yields
+        read = itertools.count()
+        parts = [_scan(_pattern_free(n, pattern, map(itemgetter(0), zip(source, read))))]
+        total = next(read)
     else:
         total = count_classes(n)
         if jobs == 1:
-            parts = [_scan_shard((n, k, 0, 1))]
+            parts = [_scan_shard((n, pattern, None))]
         else:
             import multiprocessing
 
             with multiprocessing.Pool(jobs) as pool:
-                parts = pool.map(_scan_shard, [(n, k, i, jobs) for i in range(jobs)])
+                parts = pool.map(_scan_shard, [(n, pattern, (i, jobs)) for i in range(jobs)])
     entries = _trim([e for part_entries, _ in parts for e in part_entries])
     scanned = sum(part[1] for part in parts)
-
-    if total == 0:
-        raise RuntimeError("empty survivor set: the source yielded no graphs")
-    if not entries:
-        raise RuntimeError(f"empty survivor set: none of the {total} graphs "
-                           f"read is {k}-fan-free")
 
     tied = [e for e in entries if entries[0][0] - e[0] <= MARGIN]
     if len(tied) > 1:
@@ -267,29 +275,13 @@ def turan_bruteforce(n: int, pattern: ForbiddenPattern,
     """Exact pattern-free edge maximum with every extremal class listed.
 
     ``source`` may be an iterable of graphs of order ``n``, or None for
-    every pattern-free class of that order: both patterns are hereditary,
-    so the walk tests each child before its canonicity test and neither
-    searches nor extends one that contains the pattern.  For the fan
-    pattern the walk tests only fans through the child's new vertex, as
-    certification does.  Each graph, walked or read, is tested once.
+    every pattern-free class of that order (see ``_pattern_free``).
     For kK2 patterns the result carries the clique/split regime from the
     closed formula; fan patterns have no such trichotomy and get None.
     """
-    k = pattern.k
-    free = is_kk2_free if pattern.kind == "kk2" else is_fan_free
-    if source is None:
-        hook = is_kk2_free if pattern.kind == "kk2" else _extension_fan_free
-        graphs = enumerate_graphs(EnumerationTask(n), hereditary=lambda g: hook(g, k))
-    else:
-        graphs = _of_order(source, n)
-
-    read = 0
     best = -1
     extremal: list[str] = []
-    for g in graphs:
-        read += 1
-        if source is not None and not free(g, k):
-            continue
+    for g in _pattern_free(n, pattern, source):
         e = g.edge_count()
         if e < best:
             continue
@@ -297,11 +289,6 @@ def turan_bruteforce(n: int, pattern: ForbiddenPattern,
             best = e
             extremal = []
         extremal.append(canonical_form(g).text)
-    if read == 0:
-        raise RuntimeError("source yielded no graphs")
-    if best < 0:
-        raise RuntimeError(f"none of the {read} graphs read is "
-                           f"{pattern.label()}-free")
 
     regime: Regime | None = None
     if pattern.kind == "kk2" and pattern.k >= 2 and n >= 2 * pattern.k - 1:

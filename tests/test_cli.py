@@ -1,5 +1,6 @@
 """Command-line surface: formats, exit codes, config handling."""
 
+import io
 import json
 import os
 import re
@@ -14,6 +15,7 @@ import fanfree.cli
 from fanfree.cli import main
 from fanfree.enumeration import EnumerationTask, enumerate_graphs
 from fanfree.graphs import graph6_encode, make_split
+from fanfree.search import certify_max_q1, emit_certificate
 
 SPLIT_10_2 = graph6_encode(make_split(10, 2))
 
@@ -21,8 +23,6 @@ SPLIT_10_2 = graph6_encode(make_split(10, 2))
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
     if stdin is not None:
         assert monkeypatch is not None
-        import io
-
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     code = main(argv)
     out = capsys.readouterr()
@@ -174,12 +174,12 @@ def test_certify_empty_survivor_messages(capsys, tmp_path):
     code, out, err = run_cli(capsys, ["certify", "--n", "5", "--k", "2",
                                       "--input", str(path)])
     assert code == 1 and out == ""
-    assert "none of the 1 graphs read is 2-fan-free" in err
+    assert "none of the 1 graphs read is F2-free" in err
     path.write_text("")
     code, out, err = run_cli(capsys, ["certify", "--n", "5", "--k", "2",
                                       "--input", str(path)])
     assert code == 1 and out == ""
-    assert "yielded no graphs" in err and "fan-free" not in err
+    assert "yielded no graphs" in err and "free" not in err
     # turan tells the same two cases apart; K5 holds a triangle, a 1-fan
     path.write_text("D~{\n")
     code, out, err = run_cli(capsys, ["turan", "--n", "5", "--pattern", "fan",
@@ -191,6 +191,74 @@ def test_certify_empty_survivor_messages(capsys, tmp_path):
                                       "--k", "1", "--input", str(path)])
     assert code == 1 and out == ""
     assert "yielded no graphs" in err and "free" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["certify", "--n", "5", "--k", "2"],
+    ["turan", "--n", "5", "--pattern", "fan", "--k", "2"],
+], ids=["certify", "turan"])
+@pytest.mark.parametrize("text,message", [
+    ("C~\n", "source produced a graph of order 4, expected 5"),
+    ("", "the source yielded no graphs"),
+    ("D~{\n", "none of the 1 graphs read is F2-free"),
+], ids=["wrong-order", "empty", "none-free"])
+def test_stream_errors_in_one_wording(capsys, tmp_path, command, text, message):
+    path = tmp_path / "in.g6"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, command + ["--input", str(path)])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_certify_json_is_the_library_emitter(capsys):
+    code, out, _ = run_cli(capsys, ["certify", "--n", "6", "--k", "2"])
+    assert code == 0
+    buf = io.StringIO()
+    emit_certificate(certify_max_q1(6, 2), buf)
+
+    def timeless(text):
+        return [line for line in text.splitlines(True) if '"elapsed":' not in line]
+
+    assert timeless(out) == timeless(buf.getvalue())
+    assert len(timeless(out)) == len(out.splitlines()) - 1
+
+
+# line 2 holds the byte 0xe9, which no graph6 line can hold
+NON_ASCII = b"C~\nC\xe9\nCr\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["q1"], ["fan-free", "--k", "2"], ["bounds"],
+    ["certify", "--n", "4", "--k", "2", "--format", "tsv"],
+    ["turan", "--n", "4", "--pattern", "fan", "--k", "2"],
+], ids=["q1", "fan-free", "bounds", "certify", "turan"])
+@pytest.mark.parametrize("via", ["file", "stdin"])
+def test_non_ascii_byte_is_a_malformed_line(capsys, caplog, monkeypatch, tmp_path,
+                                            command, via):
+    def run(data, *flags):
+        if via == "file":
+            path = tmp_path / "in.g6"
+            path.write_bytes(data)
+            return run_cli(capsys, command + ["-i", str(path), *flags])
+        # the interpreter's stdin in a C locale: UTF-8 with surrogate escapes
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                                 errors="surrogateescape")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        result = run_cli(capsys, command + ["-i", "-", *flags])
+        assert not stdin.closed
+        return result
+
+    def timeless(text):
+        return [line for line in text.splitlines() if "elapsed" not in line]
+
+    code, out, err = run(NON_ASCII, "--fail-fast")
+    assert (code, out) == (1, "")
+    assert err == "error: line 2: byte 233 outside the graph6 range 63..126\n"
+    code, clean, _ = run(NON_ASCII.replace(b"C\xe9\n", b""))
+    assert code == 0
+    caplog.clear()
+    code, out, _ = run(NON_ASCII, "--no-fail-fast")
+    assert code == 0 and timeless(out) == timeless(clean)
+    assert "skipping malformed graph6 line 2: byte 233 outside" in caplog.text
 
 
 def test_certify_tsv_matches_json(capsys):

@@ -402,3 +402,12 @@ def test_stream_graph6_error_reporting():
     # permissive mode: the bad line is skipped, the rest decodes
     out = list(stream_graph6(io.StringIO(text), fail_fast=False))
     assert [g.n for g in out] == [3, 2]
+
+
+def test_stream_graph6_strips_only_ascii_whitespace():
+    # a non-breaking space (0xa0) or NEL (0x85) is whitespace to str.strip,
+    # but not part of graph6: it stays in the line and the decoder names it
+    for ch in ("\xa0", "\x85"):
+        with pytest.raises(Graph6Error, match=f"line 1: byte {ord(ch)} outside"):
+            list(stream_graph6(["C~" + ch + "\n"]))
+    assert len(list(stream_graph6([" \tC~\r\n", "\x0b\x0c\n"]))) == 1

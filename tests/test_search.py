@@ -226,6 +226,26 @@ def test_turan_bruteforce_examples():
     assert turan_bruteforce(7, ForbiddenPattern("fan", 1)).max_edges == 12
 
 
+
+# both consumers of a graph stream report its errors in one wording
+STREAM_CONSUMERS = {
+    "certify": lambda graphs: certify_max_q1(5, 2, graphs),
+    "turan": lambda graphs: turan_bruteforce(5, ForbiddenPattern("fan", 2), graphs),
+}
+
+
+@pytest.mark.parametrize("consumer", sorted(STREAM_CONSUMERS))
+@pytest.mark.parametrize("graphs,error,message", [
+    ([complete_graph(4)], ValueError,
+     "source produced a graph of order 4, expected 5"),
+    ([], RuntimeError, "the source yielded no graphs"),
+    ([complete_graph(5)], RuntimeError, "none of the 1 graphs read is F2-free"),
+], ids=["wrong-order", "empty", "none-free"])
+def test_stream_errors_shared_by_both_consumers(consumer, graphs, error, message):
+    with pytest.raises(error) as exc:
+        STREAM_CONSUMERS[consumer](iter(graphs))
+    assert str(exc.value) == message
+
 # sha256 of the JSON list of turan payloads for n = 2..8 and k = 1..3:
 # the records every change to the pruned walk must keep
 TURAN_GRID_SHA256 = {
