@@ -22,18 +22,19 @@ that can start from a given equal prefix and record the equal prefixes
 it reaches.  The canonical form relabels by each greater order it finds
 until it finds none.  A child's canonicity test starts from its
 parent's search: the parent is canonical, so along a prefix of parent
-vertices only the new vertex can beat or tie the identity.  A parent
-records the equal prefixes of its own search once per pattern of twin
-classes that its children split, each child compares its new vertex
-along all of them with a few integer operations, and the engine
-searches on only from the prefixes where the new vertex ties.  Before
+vertices only the new vertex can beat or tie the identity.  Before
 that, each parent rejects the extensions that already lose on the
 identity labelling, which is most of them, and those whose new vertex
 is adjacent to a parent vertex but not to a lower twin of it, since
 swapping the two twins gives a greater code (Read's orderly scheme,
-"Every one a winner", Ann. Discrete Math. 2, 1978).  The walk carries
-a graph and its twin masks, nothing else: a child's masks follow from
-its parent's, and the hook, the tests and the output share one graph.
+"Every one a winner", Ann. Discrete Math. 2, 1978).  Under that
+twin-order rule one search of the parent, under its own twin masks,
+decides every child: the parent records its equal prefixes once, in one
+prefix tree, each child compares its new vertex along all of them with
+a few integer operations, and the engine searches on only from the
+prefixes where the new vertex ties.  The walk carries a graph and its
+twin masks, nothing else: a child's masks follow from its parent's, and
+the hook, the tests and the output share one graph.
 
 ``count_classes`` counts the classes of an order without building them,
 so a pruned walk can still report how many classes exist.
@@ -247,28 +248,36 @@ def _prefix_tree(rows: tuple[int, ...], twins: list[int]) -> _PrefixTree:
     return _PrefixTree(prefixes, at, ident, complete, ones << m)
 
 
-def _canonical_child(rows: tuple[int, ...], trees: dict, child: Graph,
+def _canonical_child(rows: tuple[int, ...], tree: _PrefixTree, child: Graph,
                      child_twins: list[int]) -> bool:
     """Whether the identity labelling of ``child``, the canonical parent
     ``rows`` plus a last vertex m, is canonical.
 
-    On a prefix of parent vertices no parent vertex beats the identity,
-    since the parent is canonical, so the child's search over such
-    prefixes is the parent's search under the child's twin masks, and
-    only m can win or tie there.  Its group value along a prefix is the
-    bits of its neighbour set s at the prefix's vertices.  ``trees``
-    caches one ``_PrefixTree`` per twin pattern, and m is compared along
-    all of its prefixes at once.  A win rejects the child; from each tie
-    the search goes on with m placed next, unless an unplaced twin of m
-    stands in for it.  The empty prefix is a tie, so this includes the
-    search that places m first.
+    ``tree`` is the parent's ``_prefix_tree`` under its own twin masks,
+    and m's neighbour set s must obey the twin-order rule: s holds every
+    lower parent twin of each of its vertices.  On a prefix of parent
+    vertices no parent vertex beats the identity, since the parent is
+    canonical, so only m can win or tie there.  Its group value along a
+    prefix is the bits of s at the prefix's vertices, and m is compared
+    along all of the tree's prefixes at once.  The child's own search
+    splits the parent's twin classes by s, but one tree serves it:
+
+    - the search places the members of each twin class lowest first, so
+      every recorded prefix holds the lowest members of each class;
+    - by the rule, s meets each class C in its lowest members, so along
+      a recorded prefix m's group value is the greatest over all twin
+      images of that prefix;
+    - a win on any image is therefore a win on the prefix, and a tie on
+      an image is the image of a tie on the prefix under a permutation
+      inside the child's own twin classes.
+
+    A win rejects the child; from each tie the search goes on with m
+    placed next, unless an unplaced twin of m stands in for it.  The
+    empty prefix is a tie, so this includes the search that places m
+    first.
     """
     m = len(rows)
     parent = (1 << m) - 1
-    pattern = tuple(tw & parent for tw in child_twins[:m])
-    tree = trees.get(pattern)
-    if tree is None:
-        tree = trees[pattern] = _prefix_tree(rows, list(pattern))
     s = child.adj[m]
     mine = 0
     for v in range(m):
@@ -311,12 +320,13 @@ def _children(parent: Graph, twins: list[int],
       each of its vertices;
     - ``keep`` then sees the child, whose parent passed it;
     - only the rest get ``_canonical_child``, on the graph ``keep`` saw,
-      with the prefix trees of this parent shared among them.
+      with one prefix tree of this parent under its own twin masks,
+      built when the first child reaches the test and shared by all.
     """
     m, rows = parent.n, parent.adj
     t = _identity_groups(rows, m)
     lower = [tw & ((1 << v) - 1) for v, tw in enumerate(twins)]
-    trees: dict = {}
+    tree = None
     top = 1 << m
     g = 0
     while g < top:
@@ -337,8 +347,10 @@ def _children(parent: Graph, twins: list[int],
                 child = Graph._from_trusted(m + 1, tuple(
                     [rows[i] | ((s >> i & 1) << m) for i in range(m)] + [s]))
                 if keep is None or keep(child):
+                    if tree is None:
+                        tree = _prefix_tree(rows, twins)
                     child_twins = _child_twins(rows, twins, s)
-                    if _canonical_child(rows, trees, child, child_twins):
+                    if _canonical_child(rows, tree, child, child_twins):
                         yield child, child_twins
             g += 1
 

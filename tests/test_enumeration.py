@@ -12,7 +12,8 @@ from fanfree.cli import main
 from fanfree import enumeration
 from fanfree.enumeration import (ENUMERATION_MAX_N, EnumerationTask,
                                  _canonical_child, _child_twins, _children,
-                                 _greater_order, _identity_groups, _twins,
+                                 _greater_order, _identity_groups,
+                                 _prefix_tree, _twins,
                                  are_isomorphic, canonical_form,
                                  canonical_label, count_classes,
                                  enumerate_graphs, stream_graph6,
@@ -258,31 +259,51 @@ def test_child_twins_equal_recomputed_twins():
 
 
 def test_canonical_child_equals_full_search():
-    # the parent's prefix trees decide as the child's own search does: on
-    # every extension of every class with n <= 6, not only those the
-    # prefilters pass, and on the first extensions, of order 8, that only
-    # the search placing the new vertex first rejects
+    # the parent's one prefix tree decides as the child's own search does:
+    # on every extension of every class with n <= 6 that obeys the
+    # twin-order rule, not only those the other prefilters pass, and on
+    # the first extensions, of order 8, that only the search placing the
+    # new vertex first rejects; every extension that breaks the rule is
+    # not canonical, so no extension goes unchecked
     cases = [(g, range(1 << n)) for n in range(1, 7)
              for g in enumerate_graphs(EnumerationTask(n))]
     cases += [(graph6_decode(text), [0b1111000]) for text in ("F{`P?", "F{`PO", "F{`QO")]
     verdicts = []
-    trees_built = 0
+    broken = 0
     for g, neighbour_sets in cases:
         n = g.n
         twins = _twins(g.adj, n)
-        trees = {}
+        lower = [tw & ((1 << v) - 1) for v, tw in enumerate(twins)]
+        tree = _prefix_tree(g.adj, twins)  # one tree per class serves all its children
         for s in neighbour_sets:
             rows = [row | (s >> i & 1) << n for i, row in enumerate(g.adj)] + [s]
-            child = Graph._from_trusted(n + 1, tuple(rows))
             canonical = _greater_order(rows, n + 1, _twins(rows, n + 1)) is None
-            assert _canonical_child(g.adj, trees, child,
+            if any(s >> v & 1 and lower[v] & ~s for v in range(n)):
+                assert not canonical, (graph6_encode(g), s)
+                broken += 1
+                continue
+            child = Graph._from_trusted(n + 1, tuple(rows))
+            assert _canonical_child(g.adj, tree, child,
                                     _child_twins(g.adj, twins, s)) == canonical, \
                 (graph6_encode(g), s)
             verdicts.append(canonical)
-        trees_built += len(trees)
-    assert len(verdicts) == 11290 + 3
+    assert (len(verdicts), broken) == (7194 + 3, 4096)
     assert verdicts[-3:] == [False] * 3
-    assert trees_built < len(verdicts)  # each tree serves several neighbour sets
+
+
+def test_walk_builds_one_tree_per_parent(monkeypatch):
+    # every parent of orders 1..7 builds exactly one prefix tree, under
+    # its own twin masks
+    calls = []
+
+    def counting(rows, twins):
+        calls.append(twins == _twins(rows, len(rows)))
+        return _prefix_tree(rows, twins)
+
+    monkeypatch.setattr(enumeration, "_prefix_tree", counting)
+    assert sum(1 for _ in enumerate_graphs(EnumerationTask(8))) == 12346
+    assert len(calls) == sum(count_classes(j) for j in range(1, 8)) == 1252
+    assert all(calls)
 
 
 def test_children_search_only_what_the_prefilters_cannot_reject(monkeypatch):
@@ -290,9 +311,9 @@ def test_children_search_only_what_the_prefilters_cannot_reject(monkeypatch):
     # and the twin-order rule rejects some the identity prefix cannot
     searched = []
 
-    def recording(rows, trees, child, child_twins):
+    def recording(rows, tree, child, child_twins):
         searched.append(child.adj[-1])
-        return _canonical_child(rows, trees, child, child_twins)
+        return _canonical_child(rows, tree, child, child_twins)
 
     monkeypatch.setattr(enumeration, "_canonical_child", recording)
     by_twins = 0
