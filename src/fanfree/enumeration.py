@@ -18,23 +18,25 @@ with the property are searched, and every leaf has it.
 One search engine serves the canonical form and every canonicity test:
 a depth-first search for a lexicographically greater relabelling over
 candidate bitmasks, pruned by interchangeable-vertex (twin) classes,
-that can start from a given equal prefix and record the equal prefixes
-it reaches.  The canonical form relabels by each greater order it finds
-until it finds none.  A child's canonicity test starts from its
-parent's search: the parent is canonical, so along a prefix of parent
-vertices only the new vertex can beat or tie the identity.  Before
-that, each parent rejects the extensions that already lose on the
-identity labelling, which is most of them, and those whose new vertex
-is adjacent to a parent vertex but not to a lower twin of it, since
-swapping the two twins gives a greater code (Read's orderly scheme,
-"Every one a winner", Ann. Discrete Math. 2, 1978).  Under that
-twin-order rule one search of the parent, under its own twin masks,
-decides every child: the parent records its equal prefixes once, in one
-prefix tree, each child compares its new vertex along all of them with
-a few integer operations, and the engine searches on only from the
-prefixes where the new vertex ties.  The walk carries a graph and its
-twin masks, nothing else: a child's masks follow from its parent's, and
-the hook, the tests and the output share one graph.
+that runs from each of a sequence of equal start prefixes in turn and
+can record the equal prefixes it reaches.  The canonical form relabels
+by each greater order it finds from the empty start until it finds
+none.  A child's canonicity test starts from its parent's search: the
+parent is canonical, so along a prefix of parent vertices only the new
+vertex can beat or tie the identity.  Before that, each parent rejects
+the extensions that already lose on the identity labelling, which is
+most of them, and those whose new vertex is adjacent to a parent vertex
+but not to a lower twin of it, since swapping the two twins gives a
+greater code (Read's orderly scheme, "Every one a winner", Ann.
+Discrete Math. 2, 1978).  Under that twin-order rule one search of the
+parent, under its own twin masks, decides every child: the parent
+records its equal prefixes once, in one prefix tree, each child compares
+its new vertex along all of them with a few integer operations, and
+only a child that never loses there gets its twin masks and one engine
+pass, started from every prefix where the new vertex ties.  The walk
+carries a graph and its twin masks, nothing else: a child's masks
+follow from its parent's, and the hook, the tests and the output share
+one graph.
 
 ``count_classes`` counts the classes of an order without building them,
 so a pruned walk can still report how many classes exist.
@@ -118,64 +120,71 @@ def _identity_groups(adj, n: int) -> list[int]:
     return [_reverse_bits(adj[j], j) for j in range(n)]
 
 
-def _greater_order(adj, n: int, twins: list[int], prefix: Sequence[int] = (),
+def _greater_order(adj, n: int, twins: list[int], starts: Iterable[Sequence[int]],
                    record: list | None = None) -> list[int] | None:
-    """A vertex order starting with ``prefix`` whose code beats the
+    """A vertex order starting with one of ``starts`` whose code beats the
     identity's, or None when there is none.
 
     ``twins[v]`` holds v and vertices whose transposition with v is an
     automorphism: the ``_twins`` masks or a refinement of them.  Bit i of
-    ``adj[j]`` is the identity's adjacency at level j to position i.  ``prefix``, shorter than n, must
-    be equal: every vertex in it has the identity's group value at its
-    level.  From the empty prefix, None means the identity labelling is
-    canonical.  The search places vertices level by level; the
-    candidates for the next level are the unplaced vertices whose group
-    value equals the identity's, kept as a bitmask, and any unplaced
-    vertex whose group value exceeds it proves a greater relabelling: the
-    placed vertices, that vertex, then the rest in ascending order.
-    Candidates are taken lowest first, one per twin class.  ``record``,
-    when given, receives every equal prefix reached, as bytes, in the
-    order the search reaches them, and after each prefix of length n-1
-    its complete order when that is equal too.
+    ``adj[j]`` is the identity's adjacency at level j to position i.
+    Each start prefix, shorter than n, must be equal: every vertex in it
+    has the identity's group value at its level.  The starts are
+    searched in turn, each from a fresh state in the same buffers, and
+    the first greater order found is returned; from the single empty
+    start, None means the identity labelling is canonical.  The search
+    places vertices level by level; the candidates for the next level
+    are the unplaced vertices whose group value equals the identity's,
+    kept as a bitmask, and any unplaced vertex whose group value exceeds
+    it proves a greater relabelling: the placed vertices, that vertex,
+    then the rest in ascending order.  Candidates are taken lowest
+    first, one per twin class.  ``record``, when given, receives every
+    equal prefix reached, as bytes, in the order the search reaches
+    them, and after each prefix of length n-1 its complete order when
+    that is equal too.
     """
     full = (1 << n) - 1
-    base = level = len(prefix)
-    chosen = list(prefix) + [0] * (n - base)
-    placed_adj = [adj[v] for v in chosen]  # adjacency of the vertex at each position
-    placed = 0
-    for v in prefix:
-        placed |= 1 << v
+    chosen = [0] * n
+    placed_adj = [0] * n  # adjacency of the vertex at each position
     cand = [0] * n
-    while True:
-        eq = full & ~placed
-        row = adj[level]
-        for a in placed_adj[:level]:
-            if row & 1:
-                eq &= a
-            elif eq & a:
-                w = (eq & a & -(eq & a)).bit_length() - 1
-                placed |= 1 << w
-                return chosen[:level] + [w] + [
-                    v for v in range(n) if not placed >> v & 1]
-            row >>= 1
-        if record is not None:
-            record.append(bytes(chosen[:level]))
-            if level == n - 1 and eq:
-                record.append(record[-1] + bytes((eq.bit_length() - 1,)))
-        # the last vertex is forced: an equal one completes an automorphism
-        cand[level] = eq if level < n - 1 else 0
-        while not cand[level]:
-            if level == base:
-                return None
-            level -= 1
-            placed &= ~(1 << chosen[level])
-        c = cand[level]
-        u = (c & -c).bit_length() - 1
-        cand[level] = c & ~twins[u]
-        chosen[level] = u
-        placed_adj[level] = adj[u]
-        placed |= 1 << u
-        level += 1
+    for prefix in starts:
+        base = level = len(prefix)
+        placed = 0
+        for j, v in enumerate(prefix):
+            chosen[j] = v
+            placed_adj[j] = adj[v]
+            placed |= 1 << v
+        while True:
+            eq = full & ~placed
+            row = adj[level]
+            for a in placed_adj[:level]:
+                if row & 1:
+                    eq &= a
+                elif eq & a:
+                    w = (eq & a & -(eq & a)).bit_length() - 1
+                    placed |= 1 << w
+                    return chosen[:level] + [w] + [
+                        v for v in range(n) if not placed >> v & 1]
+                row >>= 1
+            if record is not None:
+                record.append(bytes(chosen[:level]))
+                if level == n - 1 and eq:
+                    record.append(record[-1] + bytes((eq.bit_length() - 1,)))
+            # the last vertex is forced: an equal one completes an automorphism
+            cand[level] = eq if level < n - 1 else 0
+            while not cand[level] and level > base:
+                level -= 1
+                placed &= ~(1 << chosen[level])
+            c = cand[level]
+            if not c:
+                break
+            u = (c & -c).bit_length() - 1
+            cand[level] = c & ~twins[u]
+            chosen[level] = u
+            placed_adj[level] = adj[u]
+            placed |= 1 << u
+            level += 1
+    return None
 
 
 def _child_twins(rows: tuple[int, ...], twins: list[int], s: int) -> list[int]:
@@ -203,12 +212,14 @@ class _PrefixTree(NamedTuple):
     """The equal prefixes of a canonical parent's search, packed one field
     of m+1 bits per prefix: prefix k's field starts at bit k(m+1), and
     position i is bit m-1-i of a field, so fields compare as group values.
-    ``at[v]`` marks v at its position in every prefix that holds it, and
-    ``ident`` holds the identity's group value at each prefix's level.
+    ``placed[k]`` is the mask of the vertices in prefix k, and ``at[v]``
+    marks v at its position in every prefix that holds it; ``ident``
+    holds the identity's group value at each prefix's level.
     ``complete`` has bit 0 of each field of full length, whose level is
     the new vertex's own, and ``guards`` bit m of every field."""
 
     prefixes: list[bytes]
+    placed: list[int]
     at: list[int]
     ident: int
     complete: int
@@ -220,47 +231,57 @@ def _prefix_tree(rows: tuple[int, ...], twins: list[int]) -> _PrefixTree:
     reaches under the twin masks ``twins``, the complete orders included.
 
     The search reaches them depth first, so the prefixes that extend a
-    prefix follow it in one block, and each prefix marks its last vertex
-    in all of them at once.
+    prefix follow it in one block: each prefix marks its last vertex in
+    all of them at once, and its placed mask is that of the block that
+    encloses it plus its last vertex.
     """
     m = len(rows)
     width = m + 1
     prefixes: list[bytes] = []
-    _greater_order(rows, m, twins, record=prefixes)
+    _greater_order(rows, m, twins, [()], record=prefixes)
     ones = ((1 << len(prefixes) * width) - 1) // ((1 << width) - 1)
     groups = [t << m - level for level, t in enumerate(_identity_groups(rows, m))]
+    placed = []
     at = [0] * m
     ident = complete = 0
-    open_blocks: list[tuple[int, int, int]] = []  # (level, first bit, last vertex)
-    # the empty prefix appended last closes every block still open
+    # (level, first bit, last vertex, placed mask)
+    open_blocks: list[tuple[int, int, int, int]] = []
+    # the empty prefix appended last closes every block still open, and
+    # its placed mask is dropped
     for k, prefix in enumerate(prefixes + [b""]):
         base = k * width
         level = len(prefix)
         while open_blocks and open_blocks[-1][0] >= level:
-            closed, start, v = open_blocks.pop()
+            closed, start, v, _ = open_blocks.pop()
             at[v] |= (ones & (1 << base) - (1 << start)) << m - closed
+        mask = open_blocks[-1][3] if open_blocks else 0
         if level:
-            open_blocks.append((level, base, prefix[-1]))
+            mask |= 1 << prefix[-1]
+            open_blocks.append((level, base, prefix[-1], mask))
+        placed.append(mask)
         if level == m:
             complete |= 1 << base
         else:
             ident |= groups[level] << base
-    return _PrefixTree(prefixes, at, ident, complete, ones << m)
+    placed.pop()
+    return _PrefixTree(prefixes, placed, at, ident, complete, ones << m)
 
 
-def _canonical_child(rows: tuple[int, ...], tree: _PrefixTree, child: Graph,
-                     child_twins: list[int]) -> bool:
-    """Whether the identity labelling of ``child``, the canonical parent
-    ``rows`` plus a last vertex m, is canonical.
+def _canonical_child(rows: tuple[int, ...], twins: list[int], tree: _PrefixTree,
+                     child: Graph, g: int) -> list[int] | None:
+    """The twin masks of ``child``, the canonical parent ``rows`` plus a
+    last vertex m of group value ``g``, when its identity labelling is
+    canonical, else None.
 
-    ``tree`` is the parent's ``_prefix_tree`` under its own twin masks,
-    and m's neighbour set s must obey the twin-order rule: s holds every
-    lower parent twin of each of its vertices.  On a prefix of parent
-    vertices no parent vertex beats the identity, since the parent is
-    canonical, so only m can win or tie there.  Its group value along a
-    prefix is the bits of s at the prefix's vertices, and m is compared
-    along all of the tree's prefixes at once.  The child's own search
-    splits the parent's twin classes by s, but one tree serves it:
+    ``tree`` is the parent's ``_prefix_tree`` under its own twin masks
+    ``twins``, and m's neighbour set s must obey the twin-order rule: s
+    holds every lower parent twin of each of its vertices.  On a prefix
+    of parent vertices no parent vertex beats the identity, since the
+    parent is canonical, so only m can win or tie there.  Its group
+    value along a prefix is the bits of s at the prefix's vertices, and
+    m is compared along all of the tree's prefixes at once.  The child's
+    own search splits the parent's twin classes by s, but one tree
+    serves it:
 
     - the search places the members of each twin class lowest first, so
       every recorded prefix holds the lowest members of each class;
@@ -271,34 +292,38 @@ def _canonical_child(rows: tuple[int, ...], tree: _PrefixTree, child: Graph,
       an image is the image of a tie on the prefix under a permutation
       inside the child's own twin classes.
 
-    A win rejects the child; from each tie the search goes on with m
-    placed next, unless an unplaced twin of m stands in for it.  The
-    empty prefix is a tie, so this includes the search that places m
-    first.
+    A win rejects the child before its twin masks are derived.  Each
+    tie, with m placed next, is a start of one ``_greater_order`` pass
+    over the child, unless an unplaced twin of m stands in for m there.
+    The empty prefix is a tie, so this includes the search that places
+    m first.
     """
     m = len(rows)
-    parent = (1 << m) - 1
     s = child.adj[m]
     mine = 0
     for v in range(m):
         if s >> v & 1:
             mine |= tree.at[v]
-    ident = tree.ident | tree.complete * _reverse_bits(s, m)
+    ident = tree.ident | tree.complete * g
     guards = tree.guards
     if ((ident | guards) - mine) & guards != guards:
-        return False
+        return None
+    child_twins = _child_twins(rows, twins, s)
     # m ties where it does not lose; on a complete prefix that is an automorphism
     ties = ((mine | guards) - ident) & guards & ~(tree.complete << m)
-    stand_ins = child_twins[m] & parent
+    stand_ins = child_twins[m] & ~(1 << m)
+    width = m + 1
+    last = bytes((m,))
+    starts = []
     while ties:
         low = ties & -ties
         ties ^= low
-        prefix = tree.prefixes[(low.bit_length() - 1) // (m + 1)]
-        if stand_ins and stand_ins & ~sum(1 << v for v in prefix):
-            continue
-        if _greater_order(child.adj, m + 1, child_twins, [*prefix, m]) is not None:
-            return False
-    return True
+        k = (low.bit_length() - 1) // width
+        if not stand_ins & ~tree.placed[k]:
+            starts.append(tree.prefixes[k] + last)
+    if _greater_order(child.adj, width, child_twins, starts) is not None:
+        return None
+    return child_twins
 
 
 def _children(parent: Graph, twins: list[int],
@@ -319,9 +344,10 @@ def _children(parent: Graph, twins: list[int],
       holds w but not u, raises g, so s must hold every lower twin of
       each of its vertices;
     - ``keep`` then sees the child, whose parent passed it;
-    - only the rest get ``_canonical_child``, on the graph ``keep`` saw,
-      with one prefix tree of this parent under its own twin masks,
-      built when the first child reaches the test and shared by all.
+    - only the rest get ``_canonical_child``, on the graph ``keep`` saw
+      and its g, with one prefix tree of this parent under its own twin
+      masks, built when the first child reaches the test and shared by
+      all; it returns the twin masks of each canonical child.
     """
     m, rows = parent.n, parent.adj
     t = _identity_groups(rows, m)
@@ -349,8 +375,8 @@ def _children(parent: Graph, twins: list[int],
                 if keep is None or keep(child):
                     if tree is None:
                         tree = _prefix_tree(rows, twins)
-                    child_twins = _child_twins(rows, twins, s)
-                    if _canonical_child(rows, tree, child, child_twins):
+                    child_twins = _canonical_child(rows, twins, tree, child, g)
+                    if child_twins is not None:
                         yield child, child_twins
             g += 1
 
@@ -382,7 +408,7 @@ def canonical_label(g: Graph) -> Graph:
     climb ends, and it ends at the unique labelling with the greatest code.
     """
     while True:
-        order = _greater_order(g.adj, g.n, _twins(g.adj, g.n))
+        order = _greater_order(g.adj, g.n, _twins(g.adj, g.n), [()])
         if order is None:
             return g
         g = _relabel(g, order)

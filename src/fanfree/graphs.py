@@ -296,26 +296,29 @@ def cut_edges(g: Graph, s: Iterable[int], t: Iterable[int]) -> int:
 # x(0,2), x(1,2), x(0,3), ... packed big-endian into 6-bit chunks, each
 # chunk +63, zero-padded.
 
+# the graph6 character of each 6-bit chunk read least significant bit first
+_G6_REVERSED = [chr(int(f"{x:06b}"[::-1], 2) + 63) for x in range(64)]
+
 
 def graph6_encode(g: Graph) -> str:
+    """graph6 text of ``g``.
+
+    The upper triangle is packed as one integer with x(i,j) at bit
+    j(j-1)/2+i, one shift per column, so bit order is emission order,
+    and each 6-bit chunk is emitted through ``_G6_REVERSED``.
+    """
     n = g.n
     if n <= 62:
         out = [chr(n + 63)]
     else:
         out = ["~", chr((n >> 12 & 0x3F) + 63), chr((n >> 6 & 0x3F) + 63),
                chr((n & 0x3F) + 63)]
-    chunk = 0
-    nbits = 0
-    for j in range(1, n):
-        for i in range(j):
-            chunk = chunk << 1 | (g.adj[j] >> i & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(chunk + 63))
-                chunk = 0
-                nbits = 0
-    if nbits:
-        out.append(chr((chunk << (6 - nbits)) + 63))
+    code = 0
+    shift = 0
+    for j, row in enumerate(g.adj):
+        code |= (row & ((1 << j) - 1)) << shift
+        shift += j
+    out += [_G6_REVERSED[code >> k & 63] for k in range(0, shift, 6)]
     return "".join(out)
 
 

@@ -3,9 +3,10 @@
 Oracles here deliberately avoid the package's own algorithms: eigenvalues
 come from numpy.linalg, fan containment from a literal subset-embedding
 search, and matching numbers from exhaustive edge-subset search, so
-agreement is meaningful.  The one exception is ``reference_spectrum``, an
-earlier version of the package's own Jacobi kernel kept only to check that
-the current kernel returns the very same bits.
+agreement is meaningful.  The exceptions are ``reference_spectrum`` and
+``reference_graph6_encode``, earlier versions of the package's own Jacobi
+kernel and graph6 encoder kept only to check that the current ones return
+the very same bits.
 """
 
 from __future__ import annotations
@@ -131,6 +132,34 @@ def reference_spectrum(entries: np.ndarray, off_factor: float,
     off, sweeps = _reference_jacobi(a, off_factor * a.shape[0], max_sweeps)
     eig = tuple(sorted((float(x) for x in np.diag(a)), reverse=True))
     return eig, float(off), int(sweeps)
+
+
+def reference_graph6_encode(g: Graph) -> str:
+    """graph6 text of ``g``, one upper-triangle bit at a time.
+
+    This is ``graphs.graph6_encode`` as it was before it packed whole
+    columns: it shifts each bit x(i,j), column by column, into a 6-bit
+    chunk and emits the chunk once full, zero-padding the last one.
+    """
+    n = g.n
+    if n <= 62:
+        out = [chr(n + 63)]
+    else:
+        out = ["~", chr((n >> 12 & 0x3F) + 63), chr((n >> 6 & 0x3F) + 63),
+               chr((n & 0x3F) + 63)]
+    chunk = 0
+    nbits = 0
+    for j in range(1, n):
+        for i in range(j):
+            chunk = chunk << 1 | (g.adj[j] >> i & 1)
+            nbits += 1
+            if nbits == 6:
+                out.append(chr(chunk + 63))
+                chunk = 0
+                nbits = 0
+    if nbits:
+        out.append(chr((chunk << (6 - nbits)) + 63))
+    return "".join(out)
 
 
 def brute_matching_number(g: Graph) -> int:

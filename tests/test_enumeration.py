@@ -13,7 +13,7 @@ from fanfree import enumeration
 from fanfree.enumeration import (ENUMERATION_MAX_N, EnumerationTask,
                                  _canonical_child, _child_twins, _children,
                                  _greater_order, _identity_groups,
-                                 _prefix_tree, _twins,
+                                 _prefix_tree, _reverse_bits, _twins,
                                  are_isomorphic, canonical_form,
                                  canonical_label, count_classes,
                                  enumerate_graphs, stream_graph6,
@@ -203,16 +203,36 @@ def test_canonicity_kernel_matches_brute_force():
                 code = _colex_code(adj, n, order)
                 for length in range(n):
                     best[order[:length]] = max(best.get(order[:length], code), code)
-            assert _greater_order(adj, n, twins) == _greater_order(adj, n, twins, [])
+            assert _greater_order(adj, n, twins, [()]) == _greater_order(adj, n, twins, [[]])
             for prefix, most in best.items():
                 if not _is_equal_prefix(adj, prefix):
                     continue
-                order = _greater_order(adj, n, twins, list(prefix))
+                order = _greater_order(adj, n, twins, [list(prefix)])
                 assert (order is None) == (most <= identity), (n, adj, prefix)
                 if order is not None:
                     assert sorted(order) == list(range(n))
                     assert tuple(order[:len(prefix)]) == prefix
                     assert _colex_code(adj, n, order) > identity, (n, adj, prefix)
+
+
+def test_multi_start_search_returns_the_first_start_with_a_greater_order():
+    # one pass over many equal starts answers as the single-start passes
+    # do, taken in turn: None when none has a greater order, else the
+    # order the first start that has one returns
+    rng = random.Random(31)
+    for n in range(1, 6):
+        for g in all_labeled_graphs(n):
+            adj = list(g.adj)
+            twins = _twins(adj, n)
+            starts = [prefix for length in range(n)
+                      for prefix in itertools.permutations(range(n), length)
+                      if _is_equal_prefix(adj, prefix)]
+            single = {prefix: _greater_order(adj, n, twins, [prefix]) for prefix in starts}
+            for sequence in (starts, starts[::-1], rng.sample(starts, len(starts)),
+                             rng.sample(starts, rng.randint(1, len(starts)))):
+                want = next((single[p] for p in sequence if single[p] is not None), None)
+                assert _greater_order(adj, n, twins, sequence) == want, (n, adj, sequence)
+            assert _greater_order(adj, n, twins, []) is None
 
 
 def test_canonical_label_matches_brute_force():
@@ -277,14 +297,14 @@ def test_canonical_child_equals_full_search():
         tree = _prefix_tree(g.adj, twins)  # one tree per class serves all its children
         for s in neighbour_sets:
             rows = [row | (s >> i & 1) << n for i, row in enumerate(g.adj)] + [s]
-            canonical = _greater_order(rows, n + 1, _twins(rows, n + 1)) is None
+            canonical = _greater_order(rows, n + 1, _twins(rows, n + 1), [()]) is None
             if any(s >> v & 1 and lower[v] & ~s for v in range(n)):
                 assert not canonical, (graph6_encode(g), s)
                 broken += 1
                 continue
             child = Graph._from_trusted(n + 1, tuple(rows))
-            assert _canonical_child(g.adj, tree, child,
-                                    _child_twins(g.adj, twins, s)) == canonical, \
+            assert (_canonical_child(g.adj, twins, tree, child, _reverse_bits(s, n))
+                    is not None) == canonical, \
                 (graph6_encode(g), s)
             verdicts.append(canonical)
     assert (len(verdicts), broken) == (7194 + 3, 4096)
@@ -306,14 +326,35 @@ def test_walk_builds_one_tree_per_parent(monkeypatch):
     assert all(calls)
 
 
+def test_walk_derives_twin_masks_only_past_the_packed_comparison(monkeypatch):
+    # of the 21,973 children tested at n = 8, only the 13,970 that the
+    # packed comparison passes get twin masks and one engine pass each;
+    # the trees stay one per parent
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(enumeration, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(enumeration, name, wrapper)
+
+    for name in ("_canonical_child", "_child_twins", "_prefix_tree", "_greater_order"):
+        counted(name)
+    assert sum(1 for _ in enumerate_graphs(EnumerationTask(8))) == 12346
+    assert calls == {"_canonical_child": 21973, "_child_twins": 13970,
+                     "_prefix_tree": 1252, "_greater_order": 13970 + 1252}
+
+
 def test_children_search_only_what_the_prefilters_cannot_reject(monkeypatch):
     # every extension a parent rejects without a search is not canonical,
     # and the twin-order rule rejects some the identity prefix cannot
     searched = []
 
-    def recording(rows, tree, child, child_twins):
+    def recording(rows, twins, tree, child, g):
         searched.append(child.adj[-1])
-        return _canonical_child(rows, tree, child, child_twins)
+        return _canonical_child(rows, twins, tree, child, g)
 
     monkeypatch.setattr(enumeration, "_canonical_child", recording)
     by_twins = 0
@@ -325,7 +366,7 @@ def test_children_search_only_what_the_prefilters_cannot_reject(monkeypatch):
             kept = [child.adj[-1] for child, _ in _children(g, _twins(adj, n))]
             for s, rows in _extensions(g):
                 child_t = _identity_groups(rows, n + 1)
-                canonical = _greater_order(rows, n + 1, _twins(rows, n + 1)) is None
+                canonical = _greater_order(rows, n + 1, _twins(rows, n + 1), [()]) is None
                 assert (s in kept) == canonical, (graph6_encode(g), s)
                 if s not in searched:
                     assert not canonical, (graph6_encode(g), s)

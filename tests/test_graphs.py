@@ -14,7 +14,7 @@ from fanfree.graphs import (MAX_VERTICES, Graph, Graph6Error,
                             induced_subgraph, join, make_fan, make_split,
                             path_graph, second_neighborhood, split_parameter)
 
-from helpers import permuted, random_graph
+from helpers import permuted, random_graph, reference_graph6_encode
 
 
 def test_graph_validation_rejects_bad_input():
@@ -174,6 +174,16 @@ def test_graph6_roundtrip_random():
         n = rng.randint(1, MAX_VERTICES)
         g = random_graph(rng, n, rng.choice([0.1, 0.5, 0.9]))
         assert graph6_decode(graph6_encode(g)) == g
+
+
+def test_graph6_encode_matches_bitwise_reference():
+    # the column-packed encoder gives the bytes of the bit-at-a-time one,
+    # at every order, the '~' header orders 63 and 64 included
+    rng = random.Random(29)
+    for n in range(1, MAX_VERTICES + 1):
+        for p in (0.0, 0.3, 0.7, 1.0):
+            g = random_graph(rng, n, p)
+            assert graph6_encode(g) == reference_graph6_encode(g), (n, p)
 
 
 @settings(max_examples=120, deadline=None)
