@@ -12,8 +12,9 @@ its last vertex, so a walk restricted to a hereditary property (one
 closed under vertex deletion) may drop every child that lacks it
 together with all its descendants: the PRUNE hook of orderly generation
 (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
-The hook runs on each child before its canonicity test, so only children
-with the property are searched, and every leaf has it.
+The hook runs on each child that its parent's prefix tree does not
+reject, before its canonicity search, so only children with the
+property are searched, and every leaf has it.
 
 One search engine serves the canonical form and every canonicity test:
 a depth-first search for a lexicographically greater relabelling over
@@ -23,20 +24,22 @@ can record the equal prefixes it reaches.  The canonical form relabels
 by each greater order it finds from the empty start until it finds
 none.  A child's canonicity test starts from its parent's search: the
 parent is canonical, so along a prefix of parent vertices only the new
-vertex can beat or tie the identity.  Before that, each parent rejects
-the extensions that already lose on the identity labelling, which is
-most of them, and those whose new vertex is adjacent to a parent vertex
-but not to a lower twin of it, since swapping the two twins gives a
-greater code (Read's orderly scheme, "Every one a winner", Ann.
-Discrete Math. 2, 1978).  Under that twin-order rule one search of the
-parent, under its own twin masks, decides every child: the parent
-records its equal prefixes once, in one prefix tree, each child compares
-its new vertex along all of them with a few integer operations, and
-only a child that never loses there gets its twin masks and one engine
-pass, started from every prefix where the new vertex ties.  The walk
-carries a graph and its twin masks, nothing else: a child's masks
-follow from its parent's, and the hook, the tests and the output share
-one graph.
+vertex can beat or tie the identity.  A child whose new vertex is
+adjacent to a parent vertex but not to a lower twin of it is never
+canonical, since swapping the two twins gives a greater code (Read's
+orderly scheme, "Every one a winner", Ann. Discrete Math. 2, 1978).
+Under that twin-order rule one search of the parent, under its own
+twin masks, decides every child: the parent records its equal prefixes
+once, in one prefix tree, and the new vertex is compared along all of
+them at once with a few integer operations.  Each parent builds its
+tree first and then decides the new vertex's neighbours one parent
+vertex at a time, depth first; a branch that breaks the rule, or on
+which the new vertex beats the identity along a prefix, is cut with
+every child below it.  Only a child whose new vertex never beats the
+identity gets its twin masks and one engine pass, started from every
+prefix where the new vertex ties.  The walk carries a graph and its
+twin masks, nothing else: a child's masks follow from its parent's,
+and the hook, the tests and the output share one graph.
 
 ``count_classes`` counts the classes of an order without building them,
 so a pruned walk can still report how many classes exist.
@@ -113,11 +116,6 @@ def _twins(adj, n: int) -> list[int]:
         closed = adj[v] | 1 << v
         closed_nb[closed] = closed_nb.get(closed, 0) | 1 << v
     return [open_nb[adj[v]] | closed_nb[adj[v] | 1 << v] for v in range(n)]
-
-
-def _identity_groups(adj, n: int) -> list[int]:
-    """Group values of the identity labelling, level by level."""
-    return [_reverse_bits(adj[j], j) for j in range(n)]
 
 
 def _greater_order(adj, n: int, twins: list[int], starts: Iterable[Sequence[int]],
@@ -239,8 +237,9 @@ def _prefix_tree(rows: tuple[int, ...], twins: list[int]) -> _PrefixTree:
     width = m + 1
     prefixes: list[bytes] = []
     _greater_order(rows, m, twins, [()], record=prefixes)
+    # the identity's group value at each level, top-aligned in a field
+    groups = [_reverse_bits(rows[level], level) << m - level for level in range(m)]
     ones = ((1 << len(prefixes) * width) - 1) // ((1 << width) - 1)
-    groups = [t << m - level for level, t in enumerate(_identity_groups(rows, m))]
     placed = []
     at = [0] * m
     ident = complete = 0
@@ -268,20 +267,19 @@ def _prefix_tree(rows: tuple[int, ...], twins: list[int]) -> _PrefixTree:
 
 
 def _canonical_child(rows: tuple[int, ...], twins: list[int], tree: _PrefixTree,
-                     child: Graph, g: int) -> list[int] | None:
+                     child: Graph, g: int, mine: int) -> list[int] | None:
     """The twin masks of ``child``, the canonical parent ``rows`` plus a
     last vertex m of group value ``g``, when its identity labelling is
     canonical, else None.
 
     ``tree`` is the parent's ``_prefix_tree`` under its own twin masks
     ``twins``, and m's neighbour set s must obey the twin-order rule: s
-    holds every lower parent twin of each of its vertices.  On a prefix
-    of parent vertices no parent vertex beats the identity, since the
-    parent is canonical, so only m can win or tie there.  Its group
-    value along a prefix is the bits of s at the prefix's vertices, and
-    m is compared along all of the tree's prefixes at once.  The child's
-    own search splits the parent's twin classes by s, but one tree
-    serves it:
+    holds every lower parent twin of each of its vertices.  ``mine`` is
+    m's group value along every prefix of the tree, the union of
+    ``tree.at[v]`` over v in s.  On a prefix of parent vertices no
+    parent vertex beats the identity, since the parent is canonical, so
+    only m can win or tie there.  The child's own search splits the
+    parent's twin classes by s, but one tree serves it:
 
     - the search places the members of each twin class lowest first, so
       every recorded prefix holds the lowest members of each class;
@@ -292,23 +290,20 @@ def _canonical_child(rows: tuple[int, ...], twins: list[int], tree: _PrefixTree,
       an image is the image of a tie on the prefix under a permutation
       inside the child's own twin classes.
 
-    A win rejects the child before its twin masks are derived.  Each
-    tie, with m placed next, is a start of one ``_greater_order`` pass
-    over the child, unless an unplaced twin of m stands in for m there.
-    The empty prefix is a tie, so this includes the search that places
-    m first.
+    A win on any prefix rejects the child before its twin masks are
+    derived; along a complete prefix, an automorphism of the parent,
+    the identity's group value is m's own, ``g``.  Each tie, with m
+    placed next, is a start of one ``_greater_order`` pass over the
+    child, unless an unplaced twin of m stands in for m there.  The
+    empty prefix is a tie, so this includes the search that places m
+    first.
     """
     m = len(rows)
-    s = child.adj[m]
-    mine = 0
-    for v in range(m):
-        if s >> v & 1:
-            mine |= tree.at[v]
     ident = tree.ident | tree.complete * g
     guards = tree.guards
     if ((ident | guards) - mine) & guards != guards:
         return None
-    child_twins = _child_twins(rows, twins, s)
+    child_twins = _child_twins(rows, twins, child.adj[m])
     # m ties where it does not lose; on a complete prefix that is an automorphism
     ties = ((mine | guards) - ident) & guards & ~(tree.complete << m)
     stand_ins = child_twins[m] & ~(1 << m)
@@ -333,59 +328,55 @@ def _children(parent: Graph, twins: list[int],
     ``keep``, with their twin masks, in ascending order of the new
     vertex's group value.
 
-    The new vertex m has group value g, its neighbour set s bit-reversed.
-    Each g meets the cheap tests first and the canonicity test last:
+    The new vertex m has neighbour set s and group value g, s
+    bit-reversed, so vertex 0 decides g's top bit.  One depth-first pass
+    over the parent's vertices decides s a bit at a time, the 0-branch
+    first, so the leaves come in ascending g.  Along a branch it builds
+    g and ``mine``, m's group value along every prefix of the parent's
+    one ``_prefix_tree`` under its own twin masks.  The 1-branch of a
+    vertex v is taken only when:
 
-    - the child's search walks the identity labelling first, where the
-      top ``nl`` bits of g exceeding the parent's group value at some
-      level ``nl`` prove a greater relabelling; that skips every g
-      sharing them;
-    - swapping parent twins u < w fixes the parent's code and, when s
-      holds w but not u, raises g, so s must hold every lower twin of
-      each of its vertices;
-    - ``keep`` then sees the child, whose parent passed it;
-    - only the rest get ``_canonical_child``, on the graph ``keep`` saw
-      and its g, with one prefix tree of this parent under its own twin
-      masks, built when the first child reaches the test and shared by
-      all; it returns the twin masks of each canonical child.
+    - s already holds v's lower twins: swapping parent twins u < v fixes
+      the parent's code and, when s holds v but not u, raises g (the
+      twin-order rule);
+    - m beats the identity along no prefix of the tree short of m's own
+      level, whose identity group value is g itself, known only at a
+      leaf.
+
+    Adding a neighbour only raises m's group value along a prefix, so
+    each cut drops a whole subtree of children that are not canonical.
+    At a leaf, ``keep`` sees the child, whose parent passed it, and
+    ``_canonical_child`` tests the graph ``keep`` saw with its g and
+    ``mine``, and returns the twin masks of each canonical child.
     """
     m, rows = parent.n, parent.adj
-    t = _identity_groups(rows, m)
+    tree = _prefix_tree(rows, twins)
+    at = tree.at
+    guards = tree.guards
+    # the complete fields are at m's own level, compared with g at a leaf
+    bound = tree.ident | guards | tree.complete * ((1 << m) - 1)
     lower = [tw & ((1 << v) - 1) for v, tw in enumerate(twins)]
-    tree = None
-    top = 1 << m
-    g = 0
-    while g < top:
-        for nl in range(1, m):
-            shift = m - nl
-            if g >> shift > t[nl]:
-                g = ((g >> shift) + 1) << shift
-                break
-        else:
-            s = _reverse_bits(g, m)
-            need = 0
-            x = s
-            while x:
-                low = x & -x
-                need |= lower[low.bit_length() - 1]
-                x ^= low
-            if not need & ~s:
-                child = Graph._from_trusted(m + 1, tuple(
-                    [rows[i] | ((s >> i & 1) << m) for i in range(m)] + [s]))
-                if keep is None or keep(child):
-                    if tree is None:
-                        tree = _prefix_tree(rows, twins)
-                    child_twins = _canonical_child(rows, twins, tree, child, g)
-                    if child_twins is not None:
-                        yield child, child_twins
-            g += 1
+    # (next vertex, s, g over the vertices before it, mine)
+    stack = [(0, 0, 0, 0)]
+    while stack:
+        v, s, g, mine = stack.pop()
+        # down the 0-branches to a leaf, leaving each 1-branch to come back to
+        for u in range(v, m):
+            g <<= 1
+            with_u = mine | at[u]
+            if not lower[u] & ~s and (bound - with_u) & guards == guards:
+                stack.append((u + 1, s | 1 << u, g | 1, with_u))
+        child = Graph._from_trusted(m + 1, tuple(
+            [rows[i] | ((s >> i & 1) << m) for i in range(m)] + [s]))
+        if keep is None or keep(child):
+            child_twins = _canonical_child(rows, twins, tree, child, g, mine)
+            if child_twins is not None:
+                yield child, child_twins
 
 
 def _reverse_bits(s: int, m: int) -> int:
-    out = 0
-    for i in range(m):
-        out = (out << 1) | (s >> i & 1)
-    return out
+    """The low ``m`` bits of ``s`` in reverse order."""
+    return int(format(s & (1 << m) - 1, f"0{m}b")[::-1], 2)
 
 
 # -- canonical form ----------------------------------------------------
@@ -438,10 +429,11 @@ def enumerate_graphs(task: EnumerationTask, *,
     The walk carries a graph and its twin masks from the one-vertex
     graph.  ``hereditary``, when given, is a property closed under
     vertex deletion.  It is called on the one-vertex graph and then on
-    every child, before the child's canonicity test, at every order up
-    to ``n``; it may assume that the child minus its last vertex has the
-    property.  A child that lacks it is neither extended nor yielded, so
-    every graph yielded has the property and is the graph it was called on.
+    every child that the parent's prefix tree does not reject, before
+    its engine pass, at every order up to ``n``; it may assume that the
+    child minus its last vertex has the property.  A child that lacks it
+    is neither extended nor yielded, so every graph yielded has the
+    property and is the graph it was called on.
     """
     n = task.n
     shard = task.shard

@@ -12,9 +12,8 @@ from fanfree.cli import main
 from fanfree import enumeration
 from fanfree.enumeration import (ENUMERATION_MAX_N, EnumerationTask,
                                  _canonical_child, _child_twins, _children,
-                                 _greater_order, _identity_groups,
-                                 _prefix_tree, _reverse_bits, _twins,
-                                 are_isomorphic, canonical_form,
+                                 _greater_order, _prefix_tree, _reverse_bits,
+                                 _twins, are_isomorphic, canonical_form,
                                  canonical_label, count_classes,
                                  enumerate_graphs, stream_graph6,
                                  write_graph6)
@@ -269,6 +268,25 @@ def _extensions(g):
         yield s, rows
 
 
+def test_reverse_bits_matches_the_bit_loop():
+    # the low m bits of s, last first; higher bits of s are ignored
+    for m in range(12):
+        for s in range(1 << m):
+            want = 0
+            for i in range(m):
+                want = want << 1 | s >> i & 1
+            assert _reverse_bits(s, m) == _reverse_bits(s | 5 << m, m) == want, (s, m)
+
+
+def _beats_on_a_short_prefix(adj, tree, s):
+    """Whether a new vertex adjacent to ``s`` beats the identity along a
+    recorded prefix of the tree shorter than the parent, bit by bit."""
+    m = len(adj)
+    return any([s >> v & 1 for v in prefix] > [adj[len(prefix)] >> i & 1
+                                               for i in range(len(prefix))]
+               for prefix in tree.prefixes if len(prefix) < m)
+
+
 def test_child_twins_equal_recomputed_twins():
     for n in range(1, 7):
         for g in enumerate_graphs(EnumerationTask(n)):
@@ -303,7 +321,11 @@ def test_canonical_child_equals_full_search():
                 broken += 1
                 continue
             child = Graph._from_trusted(n + 1, tuple(rows))
-            assert (_canonical_child(g.adj, twins, tree, child, _reverse_bits(s, n))
+            mine = 0
+            for v in range(n):
+                if s >> v & 1:
+                    mine |= tree.at[v]
+            assert (_canonical_child(g.adj, twins, tree, child, _reverse_bits(s, n), mine)
                     is not None) == canonical, \
                 (graph6_encode(g), s)
             verdicts.append(canonical)
@@ -327,9 +349,10 @@ def test_walk_builds_one_tree_per_parent(monkeypatch):
 
 
 def test_walk_derives_twin_masks_only_past_the_packed_comparison(monkeypatch):
-    # of the 21,973 children tested at n = 8, only the 13,970 that the
-    # packed comparison passes get twin masks and one engine pass each;
-    # the trees stay one per parent
+    # at n = 8 the pruned pass over the neighbour sets leaves 16,118
+    # children to test, and only the 13,970 that the packed comparison
+    # passes on the complete prefixes too get twin masks and one engine
+    # pass each; the trees stay one per parent
     calls = Counter()
 
     def counted(name):
@@ -343,38 +366,65 @@ def test_walk_derives_twin_masks_only_past_the_packed_comparison(monkeypatch):
     for name in ("_canonical_child", "_child_twins", "_prefix_tree", "_greater_order"):
         counted(name)
     assert sum(1 for _ in enumerate_graphs(EnumerationTask(8))) == 12346
-    assert calls == {"_canonical_child": 21973, "_child_twins": 13970,
+    assert calls == {"_canonical_child": 16118, "_child_twins": 13970,
                      "_prefix_tree": 1252, "_greater_order": 13970 + 1252}
+
+
+def test_children_reach_the_test_exactly_where_the_tree_allows(monkeypatch):
+    # for every class with n <= 6, the pruned pass hands ``keep``, and
+    # then the canonicity test, exactly the neighbour sets that obey the
+    # twin-order rule and lose on no recorded prefix short of the new
+    # vertex's level, in ascending group value: the hook never sees a
+    # child the tree rejects, and a child the hook refuses is not tested
+    tested = []
+
+    def recording(rows, twins, tree, child, g, mine):
+        tested.append(child.adj[-1])
+        return _canonical_child(rows, twins, tree, child, g, mine)
+
+    monkeypatch.setattr(enumeration, "_canonical_child", recording)
+    for n in range(1, 7):
+        for g in enumerate_graphs(EnumerationTask(n)):
+            twins = _twins(g.adj, n)
+            lower = [tw & ((1 << v) - 1) for v, tw in enumerate(twins)]
+            tree = _prefix_tree(g.adj, twins)
+            ascending = sorted(range(1 << n), key=lambda s: [s >> v & 1 for v in range(n)])
+            want = [s for s in ascending
+                    if not any(s >> v & 1 and lower[v] & ~s for v in range(n))
+                    and not _beats_on_a_short_prefix(g.adj, tree, s)]
+            hooked = []
+            tested.clear()
+            list(_children(g, twins, lambda child: hooked.append(child.adj[-1]) or True))
+            assert hooked == tested == want, graph6_encode(g)
+            tested.clear()
+            list(_children(g, twins, lambda child: child.adj[-1] % 3 != 1))
+            assert tested == [s for s in want if s % 3 != 1], graph6_encode(g)
 
 
 def test_children_search_only_what_the_prefilters_cannot_reject(monkeypatch):
     # every extension a parent rejects without a search is not canonical,
-    # and the twin-order rule rejects some the identity prefix cannot
+    # and the twin-order rule rejects some the tree comparison cannot
     searched = []
 
-    def recording(rows, twins, tree, child, g):
+    def recording(rows, twins, tree, child, g, mine):
         searched.append(child.adj[-1])
-        return _canonical_child(rows, twins, tree, child, g)
+        return _canonical_child(rows, twins, tree, child, g, mine)
 
     monkeypatch.setattr(enumeration, "_canonical_child", recording)
     by_twins = 0
     for n in range(1, 7):
         for g in enumerate_graphs(EnumerationTask(n)):
             adj = list(g.adj)
-            t = _identity_groups(adj, n)
+            twins = _twins(adj, n)
+            tree = _prefix_tree(adj, twins)
             searched.clear()
-            kept = [child.adj[-1] for child, _ in _children(g, _twins(adj, n))]
+            kept = [child.adj[-1] for child, _ in _children(g, twins)]
             for s, rows in _extensions(g):
-                child_t = _identity_groups(rows, n + 1)
                 canonical = _greater_order(rows, n + 1, _twins(rows, n + 1), [()]) is None
                 assert (s in kept) == canonical, (graph6_encode(g), s)
                 if s not in searched:
                     assert not canonical, (graph6_encode(g), s)
-                    # the identity prefilter: a prefix of the new group value
-                    # beats the group value at that level
-                    g_new = child_t[n]
-                    by_twins += not any(g_new >> (n - level) > t[level]
-                                        for level in range(1, n))
+                    by_twins += not _beats_on_a_short_prefix(adj, tree, s)
     assert by_twins > 0
 
 

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from fanfree import search
+from fanfree import fans, search
 from fanfree.enumeration import EnumerationTask, canonical_form, enumerate_graphs
 from fanfree.fans import is_fan_free
 from fanfree.graphs import (complete_bipartite, complete_graph, graph6_decode,
@@ -134,6 +134,20 @@ def test_default_walk_yields_only_fan_free_graphs(classes_7_8, monkeypatch):
         graphs = classes_7_8.get(n) or enumerate_graphs(EnumerationTask(n))
         free = [g for g in graphs if is_fan_free(g, k)]
         assert cert.scanned == len(seen) == len(free), (n, k)
+
+
+def test_fan_hook_runs_only_where_the_prefix_tree_passes(monkeypatch):
+    # the walk calls the fan test on the one-vertex graph and on each
+    # child that the twin-order rule and its parent's prefix tree pass
+    calls = []
+
+    def counting(g, k):
+        calls.append(g.n)
+        return fans._extension_fan_free(g, k)
+
+    monkeypatch.setattr(search, "_extension_fan_free", counting)
+    assert certify_max_q1(8, 2).scanned == 2290
+    assert len(calls) == 3464
 
 
 def test_certify_rejects_bad_jobs():

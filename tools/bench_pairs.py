@@ -2,15 +2,17 @@
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH_x.json
         --workloads stream-mixed certify-n8 --seeds 301 302 303 --pairs 10
-        [--trace-seed S] [--claim stream-mixed:wall_norm_s]
+        [--trace-seed S ...] [--claim stream-mixed:wall_norm_s]
 
 DIR is a full checkout of each side.  Pair i runs ``perfbench/run.py``
 once in each checkout with seed ``seeds[i % len(seeds)]``; even pairs run
 the parent first and odd pairs the change first, so a drift of the
 machine over the whole run falls on both sides alike.  With --trace-seed
-one traced run (``--trace 1``) per side and workload adds the per-layer
-metrics.  The run length, metric names, directions and bounds come from
-the change's BENCHMARK.json; nothing under perfbench/ is imported.
+one traced run (``--trace 1``) per side, workload and seed, alternated
+the same way, adds the per-layer metrics: each side's median and
+quartiles over its traced runs, and the runs themselves.  The run
+length, metric names, directions and bounds come from the change's
+BENCHMARK.json; nothing under perfbench/ is imported.
 
 Per workload, the record has every run's values, each side's median and
 quartiles, the pairs the change won, and a no-regression row: each
@@ -122,6 +124,17 @@ def claim_row(entry: dict, metric: dict) -> dict:
             "parent_quartile_distance": row["parent_quartile_distance"], "holds": holds}
 
 
+def layer_rows(traced: dict[str, list[dict]]) -> dict:
+    """Per layer metric, each side's quartiles over its traced runs, and the runs."""
+    rows = {}
+    for name, value in traced["parent"][0].items():
+        runs = {side: [r[name]["value"] for r in traced[side]] for side in SIDES}
+        rows[name] = {"unit": value["unit"],
+                      **{side: quartiles(runs[side]) for side in SIDES},
+                      **{f"{side}_runs": [round(x, 4) for x in runs[side]] for side in SIDES}}
+    return rows
+
+
 def src_lines(checkout: Path) -> int:
     return sum(len(p.read_text().splitlines()) for p in sorted((checkout / "src").rglob("*.py")))
 
@@ -146,7 +159,7 @@ def main() -> int:
     parser.add_argument("--workloads", nargs="+", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--pairs", type=int)
-    parser.add_argument("--trace-seed", type=int)
+    parser.add_argument("--trace-seed", dest="trace_seeds", type=int, nargs="+", default=[])
     parser.add_argument("--claim", action="append", default=[],
                         help="WORKLOAD:METRIC whose gain the record states")
     args = parser.parse_args()
@@ -196,17 +209,18 @@ def main() -> int:
             workloads[workload] = entry
             write(args.out, record, metrics)
 
-        if args.trace_seed is not None:
+        if args.trace_seeds:
             layers = record.setdefault("per_layer", {})
-            layers["how"] = (f"python3 perfbench/run.py --workload W --seed {args.trace_seed} "
-                             f"--seconds {seconds} --trace 1, one run per side per "
-                             "workload; busy and self times are raw seconds of one traced pass")
-            traced = {side: run_bench(side, checkouts[side], workload, args.trace_seed,
-                                      seconds, 1)["metrics"] for side in SIDES}
-            layers[workload] = {
-                name: {"unit": value["unit"],
-                       **{side: traced[side][name]["value"] for side in SIDES}}
-                for name, value in traced["parent"].items()}
+            layers["how"] = (f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} "
+                             "--trace 1, one run per side per workload and trace seed, the "
+                             "parent first for even seed indices; busy and self times are raw "
+                             "seconds of one traced pass, summarised by inclusive quartiles")
+            traced: dict = {side: [] for side in SIDES}
+            for i, seed in enumerate(args.trace_seeds):
+                for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                    traced[side].append(
+                        run_bench(side, checkouts[side], workload, seed, seconds, 1)["metrics"])
+            layers[workload] = {"seeds": args.trace_seeds, **layer_rows(traced)}
             write(args.out, record, metrics)
 
     for workload in args.workloads:

@@ -6,11 +6,16 @@ Runs the walk of ``fanfree enumerate --n N``, or with --k K the
 fan-free walk that ``fanfree certify --n N --k K`` scans, and prints one
 row per child order:
 
-- tested: children that reach ``_canonical_child``;
-- packed_rejects: children the packed comparison along the parent's
-  prefix tree rejects, before their twin masks are derived;
+- tested: children that reach ``_canonical_child``, the leaves that the
+  parent's pruned pass over the neighbour sets leaves and the hook
+  passes;
+- packed_rejects: tested children whose new vertex beats the identity
+  along a complete prefix of the parent's tree, an automorphism of the
+  parent, rejected before their twin masks are derived;
 - tie_rejects: children a search from one of their ties rejects;
 - accepted: canonical children;
+- hook_calls: calls of the walk's hook (the fan test with --k) on the
+  children, which see only the leaves of the pruned pass;
 - trees, prefixes: ``_prefix_tree`` calls of the parents, and the equal
   prefixes those trees hold;
 - engine_calls, tie_starts: ``_greater_order`` passes of the canonicity
@@ -35,7 +40,7 @@ from fanfree import enumeration  # noqa: E402
 from fanfree.matching import ForbiddenPattern  # noqa: E402
 from fanfree.search import _pattern_free  # noqa: E402
 
-COLUMNS = ("tested", "packed_rejects", "tie_rejects", "accepted",
+COLUMNS = ("tested", "packed_rejects", "tie_rejects", "accepted", "hook_calls",
            "trees", "prefixes", "engine_calls", "tie_starts")
 
 
@@ -43,11 +48,18 @@ def walk_counts(n: int, k: int | None = None) -> dict[int, Counter]:
     """The counts of one walk to order ``n``, keyed by child order."""
     counts: dict[int, Counter] = defaultdict(Counter)
     originals = {name: getattr(enumeration, name) for name in
-                 ("_canonical_child", "_child_twins", "_prefix_tree", "_greater_order")}
+                 ("_children", "_canonical_child", "_child_twins", "_prefix_tree",
+                  "_greater_order")}
 
-    def canonical_child(rows, twins, tree, child, g):
+    def children(parent, twins, keep=None):
+        def hook(child):
+            counts[child.n]["hook_calls"] += 1
+            return keep(child)
+        return originals["_children"](parent, twins, hook if keep else None)
+
+    def canonical_child(rows, twins, tree, child, g, mine):
         counts[child.n]["tested"] += 1
-        out = originals["_canonical_child"](rows, twins, tree, child, g)
+        out = originals["_canonical_child"](rows, twins, tree, child, g, mine)
         counts[child.n]["accepted"] += out is not None
         return out
 
@@ -69,8 +81,9 @@ def walk_counts(n: int, k: int | None = None) -> dict[int, Counter]:
             counts[size]["tie_starts"] += len(starts)
         return originals["_greater_order"](adj, size, twins, starts, record)
 
-    wrappers = {"_canonical_child": canonical_child, "_child_twins": child_twins,
-                "_prefix_tree": prefix_tree, "_greater_order": greater_order}
+    wrappers = {"_children": children, "_canonical_child": canonical_child,
+                "_child_twins": child_twins, "_prefix_tree": prefix_tree,
+                "_greater_order": greater_order}
     for name, wrapper in wrappers.items():
         setattr(enumeration, name, wrapper)
     try:
