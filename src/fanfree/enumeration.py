@@ -37,9 +37,14 @@ vertex at a time, depth first; a branch that breaks the rule, or on
 which the new vertex beats the identity along a prefix, is cut with
 every child below it.  Only a child whose new vertex never beats the
 identity gets its twin masks and one engine pass, started from every
-prefix where the new vertex ties.  The walk carries a graph and its
-twin masks, nothing else: a child's masks follow from its parent's,
-and the hook, the tests and the output share one graph.
+prefix where the new vertex ties.  A tree's prefixes come in byte
+order, so a child that splits no parent twin class, whose search
+reaches the parent's prefixes again, merges its tree from them and
+those its engine pass reaches; only the root and the children that
+split a class search for theirs.  The walk carries a graph, its twin
+masks and what its tree is merged from, and builds the tree only for a
+graph it extends: a child's masks follow from its parent's, and the
+hook, the tests and the output share one graph.
 
 ``count_classes`` counts the classes of an order without building them,
 so a pruned walk can still report how many classes exist.
@@ -207,70 +212,76 @@ def _child_twins(rows: tuple[int, ...], twins: list[int], s: int) -> list[int]:
 
 
 class _PrefixTree(NamedTuple):
-    """The equal prefixes of a canonical parent's search, packed one field
-    of m+1 bits per prefix: prefix k's field starts at bit k(m+1), and
-    position i is bit m-1-i of a field, so fields compare as group values.
-    ``placed[k]`` is the mask of the vertices in prefix k, and ``at[v]``
-    marks v at its position in every prefix that holds it; ``ident``
-    holds the identity's group value at each prefix's level.
-    ``complete`` has bit 0 of each field of full length, whose level is
-    the new vertex's own, and ``guards`` bit m of every field."""
+    """The equal prefixes of a canonical parent's search in byte order,
+    packed one field of m+1 bits per prefix: prefix k's field starts at
+    bit k(m+1), and position i is bit m-1-i of a field, so fields compare
+    as group values.  ``at[v]`` marks v at its position in every prefix
+    that holds it; ``ident`` holds the identity's group value at each
+    prefix's level.  ``complete`` has bit 0 of each field of full length,
+    whose level is the new vertex's own, and ``guards`` bit m of every
+    field."""
 
     prefixes: list[bytes]
-    placed: list[int]
     at: list[int]
     ident: int
     complete: int
     guards: int
 
 
-def _prefix_tree(rows: tuple[int, ...], twins: list[int]) -> _PrefixTree:
-    """Every equal prefix that the search of the canonical parent ``rows``
-    reaches under the twin masks ``twins``, the complete orders included.
+# translation tables: byte b to "1", every other byte to "0"
+_ONE = [b"0" * b + b"1" + b"0" * (255 - b) for b in range(256)]
 
-    The search reaches them depth first, so the prefixes that extend a
-    prefix follow it in one block: each prefix marks its last vertex in
-    all of them at once, and its placed mask is that of the block that
-    encloses it plus its last vertex.
+
+def _pack(rows: tuple[int, ...], prefixes: list[bytes]) -> _PrefixTree:
+    """The tree of the canonical graph ``rows`` whose equal prefixes,
+    sorted, are ``prefixes``.  Each field is written as m+1 bytes, most
+    significant first: a guard byte 0xFE, then the prefix padded to m
+    with 0xFF, so one byte translation and one base-2 parse give the
+    guards and each vertex's marks.
     """
     m = len(rows)
     width = m + 1
+    text = b"\xfe".join([b""] + [p.ljust(m, b"\xff") for p in reversed(prefixes)])
+    fields = [format(_reverse_bits(rows[level], level) << m - level, f"0{width}b")
+              for level in range(m)] + [format(1, f"0{width}b")]
+    marks = int("".join([fields[len(p)] for p in reversed(prefixes)]), 2)
+    guards = int(text.translate(_ONE[0xFE]), 2)
+    complete = marks & guards >> m
+    return _PrefixTree(prefixes, [int(text.translate(_ONE[v]), 2) for v in range(m)],
+                       marks ^ complete, complete, guards)
+
+
+def _prefix_tree(rows: tuple[int, ...], twins: list[int]) -> _PrefixTree:
+    """Every equal prefix that the search of the canonical graph ``rows``
+    reaches under the twin masks ``twins``, the complete orders included.
+
+    The search takes candidates lowest first and records each prefix
+    when it reaches it, so the prefixes come in byte order: each before
+    its extensions, and siblings by their last vertex.
+    """
     prefixes: list[bytes] = []
-    _greater_order(rows, m, twins, [()], record=prefixes)
-    # the identity's group value at each level, top-aligned in a field
-    groups = [_reverse_bits(rows[level], level) << m - level for level in range(m)]
-    ones = ((1 << len(prefixes) * width) - 1) // ((1 << width) - 1)
-    placed = []
-    at = [0] * m
-    ident = complete = 0
-    # (level, first bit, last vertex, placed mask)
-    open_blocks: list[tuple[int, int, int, int]] = []
-    # the empty prefix appended last closes every block still open, and
-    # its placed mask is dropped
-    for k, prefix in enumerate(prefixes + [b""]):
-        base = k * width
-        level = len(prefix)
-        while open_blocks and open_blocks[-1][0] >= level:
-            closed, start, v, _ = open_blocks.pop()
-            at[v] |= (ones & (1 << base) - (1 << start)) << m - closed
-        mask = open_blocks[-1][3] if open_blocks else 0
-        if level:
-            mask |= 1 << prefix[-1]
-            open_blocks.append((level, base, prefix[-1], mask))
-        placed.append(mask)
-        if level == m:
-            complete |= 1 << base
-        else:
-            ident |= groups[level] << base
-    placed.pop()
-    return _PrefixTree(prefixes, placed, at, ident, complete, ones << m)
+    _greater_order(rows, len(rows), twins, [()], record=prefixes)
+    return _pack(rows, prefixes)
+
+
+def _merged_tree(rows: tuple[int, ...], parent: _PrefixTree, own: list[bytes]) -> _PrefixTree:
+    """The ``_prefix_tree`` of an accepted child ``rows`` whose new vertex m,
+    the last candidate, splits no twin class of its parent: along parent
+    vertices its search reaches the parent's prefixes, and ``own``, from
+    ``_canonical_child``, holds those with m.  One sort merges the two.
+    """
+    return _pack(rows, sorted(parent.prefixes + own))
 
 
 def _canonical_child(rows: tuple[int, ...], twins: list[int], tree: _PrefixTree,
-                     child: Graph, g: int, mine: int) -> list[int] | None:
+                     child: Graph, g: int, mine: int, grow: bool
+                     ) -> tuple[list[int], list[bytes] | None] | None:
     """The twin masks of ``child``, the canonical parent ``rows`` plus a
     last vertex m of group value ``g``, when its identity labelling is
-    canonical, else None.
+    canonical, else None.  With ``grow``, the masks come with the
+    prefixes holding m that the child's own search reaches, for
+    ``_merged_tree``, when m's neighbour set splits no twin class of
+    the parent; else with None, and the child's tree needs a search.
 
     ``tree`` is the parent's ``_prefix_tree`` under its own twin masks
     ``twins``, and m's neighbour set s must obey the twin-order rule: s
@@ -296,7 +307,9 @@ def _canonical_child(rows: tuple[int, ...], twins: list[int], tree: _PrefixTree,
     placed next, is a start of one ``_greater_order`` pass over the
     child, unless an unplaced twin of m stands in for m there.  The
     empty prefix is a tie, so this includes the search that places m
-    first.
+    first.  The child's search reaches exactly the prefixes holding m
+    that this pass records, and a tie on a complete prefix p, where it
+    reaches p plus m.
     """
     m = len(rows)
     ident = tree.ident | tree.complete * g
@@ -304,37 +317,40 @@ def _canonical_child(rows: tuple[int, ...], twins: list[int], tree: _PrefixTree,
     if ((ident | guards) - mine) & guards != guards:
         return None
     child_twins = _child_twins(rows, twins, child.adj[m])
-    # m ties where it does not lose; on a complete prefix that is an automorphism
-    ties = ((mine | guards) - ident) & guards & ~(tree.complete << m)
-    stand_ins = child_twins[m] & ~(1 << m)
+    ties = ((mine | guards) - ident) & guards  # m ties where it does not lose
+    for w in range(m):  # keep the fields that hold each stand-in for m
+        if child_twins[m] >> w & 1:
+            ties &= (tree.at[w] | guards) - (guards >> m)
     width = m + 1
     last = bytes((m,))
-    starts = []
+    starts, own = [], []  # own: the complete orders, which start no search
     while ties:
         low = ties & -ties
         ties ^= low
-        k = (low.bit_length() - 1) // width
-        if not stand_ins & ~tree.placed[k]:
-            starts.append(tree.prefixes[k] + last)
-    if _greater_order(child.adj, width, child_twins, starts) is not None:
+        start = tree.prefixes[(low.bit_length() - 1) // width] + last
+        (own if len(start) > m else starts).append(start)
+    if not grow or [tw & (1 << m) - 1 for tw in child_twins[:m]] != twins:
+        own = None
+    if _greater_order(child.adj, width, child_twins, starts, own) is not None:
         return None
-    return child_twins
+    return child_twins, own
 
 
-def _children(parent: Graph, twins: list[int],
-              keep: Callable[[Graph], bool] | None = None
-              ) -> Iterator[tuple[Graph, list[int]]]:
+def _children(parent: Graph, twins: list[int], tree: _PrefixTree,
+              keep: Callable[[Graph], bool] | None = None, grow: bool = False
+              ) -> Iterator[tuple[Graph, list[int], list[bytes] | None]]:
     """Canonical one-vertex extensions of a canonical parent that pass
-    ``keep``, with their twin masks, in ascending order of the new
-    vertex's group value.
+    ``keep``, with their twin masks and the prefixes ``_merged_tree``
+    needs, or None without ``grow`` or for a child that splits a parent
+    twin class, in ascending order of the new vertex's group value.
 
     The new vertex m has neighbour set s and group value g, s
     bit-reversed, so vertex 0 decides g's top bit.  One depth-first pass
     over the parent's vertices decides s a bit at a time, the 0-branch
     first, so the leaves come in ascending g.  Along a branch it builds
-    g and ``mine``, m's group value along every prefix of the parent's
-    one ``_prefix_tree`` under its own twin masks.  The 1-branch of a
-    vertex v is taken only when:
+    g and ``mine``, m's group value along every prefix of ``tree``, the
+    parent's tree under its own twin masks.  The 1-branch of a vertex v
+    is taken only when:
 
     - s already holds v's lower twins: swapping parent twins u < v fixes
       the parent's code and, when s holds v but not u, raises g (the
@@ -347,10 +363,9 @@ def _children(parent: Graph, twins: list[int],
     each cut drops a whole subtree of children that are not canonical.
     At a leaf, ``keep`` sees the child, whose parent passed it, and
     ``_canonical_child`` tests the graph ``keep`` saw with its g and
-    ``mine``, and returns the twin masks of each canonical child.
+    ``mine``.
     """
     m, rows = parent.n, parent.adj
-    tree = _prefix_tree(rows, twins)
     at = tree.at
     guards = tree.guards
     # the complete fields are at m's own level, compared with g at a leaf
@@ -369,9 +384,9 @@ def _children(parent: Graph, twins: list[int],
         child = Graph._from_trusted(m + 1, tuple(
             [rows[i] | ((s >> i & 1) << m) for i in range(m)] + [s]))
         if keep is None or keep(child):
-            child_twins = _canonical_child(rows, twins, tree, child, g, mine)
-            if child_twins is not None:
-                yield child, child_twins
+            verdict = _canonical_child(rows, twins, tree, child, g, mine, grow)
+            if verdict is not None:
+                yield child, *verdict
 
 
 def _reverse_bits(s: int, m: int) -> int:
@@ -427,7 +442,9 @@ def enumerate_graphs(task: EnumerationTask, *,
     round-robin, and a shard extends only the classes dealt to it.
 
     The walk carries a graph and its twin masks from the one-vertex
-    graph.  ``hereditary``, when given, is a property closed under
+    graph, and builds a prefix tree only for a graph it extends, so no
+    leaf and no class dealt to another shard gets one.
+    ``hereditary``, when given, is a property closed under
     vertex deletion.  It is called on the one-vertex graph and then on
     every child that the parent's prefix tree does not reject, before
     its engine pass, at every order up to ``n``; it may assume that the
@@ -442,17 +459,19 @@ def enumerate_graphs(task: EnumerationTask, *,
         return
     deal = itertools.count()
 
-    def walk(g: Graph, twins: list[int]) -> Iterator[Graph]:
+    def walk(g: Graph, twins: list[int], parent: _PrefixTree | None,
+             own: list[bytes] | None) -> Iterator[Graph]:
         if (shard is not None and g.n == max(n - 2, 1)
                 and next(deal) % shard[1] != shard[0]):
             return
         if g.n == n:
             yield g
             return
-        for child, child_twins in _children(g, twins, hereditary):
-            yield from walk(child, child_twins)
+        tree = _prefix_tree(g.adj, twins) if own is None else _merged_tree(g.adj, parent, own)
+        for child, child_twins, child_own in _children(g, twins, tree, hereditary, g.n + 1 < n):
+            yield from walk(child, child_twins, tree, child_own)
 
-    for g in walk(root, [1]):
+    for g in walk(root, [1], None, None):
         if not task.connected_only or g.is_connected():
             yield g
 

@@ -3,10 +3,10 @@
 Oracles here deliberately avoid the package's own algorithms: eigenvalues
 come from numpy.linalg, fan containment from a literal subset-embedding
 search, and matching numbers from exhaustive edge-subset search, so
-agreement is meaningful.  The exceptions are ``reference_spectrum`` and
-``reference_graph6_encode``, earlier versions of the package's own Jacobi
-kernel and graph6 encoder kept only to check that the current ones return
-the very same bits.
+agreement is meaningful.  The exceptions are ``reference_spectrum``,
+``reference_graph6_encode`` and ``reference_pack``, earlier versions of the
+package's own Jacobi kernel, graph6 encoder and prefix-tree packer kept
+only to check that the current ones return the very same bits.
 """
 
 from __future__ import annotations
@@ -160,6 +160,36 @@ def reference_graph6_encode(g: Graph) -> str:
     if nbits:
         out.append(chr((chunk << (6 - nbits)) + 63))
     return "".join(out)
+
+
+def reference_pack(prefixes: list[bytes], groups: list[int]) -> tuple[list[int], int, int, int]:
+    """(at, ident, complete, guards) of a prefix tree, one bit at a time.
+
+    ``groups[level]`` is the identity's group value at each level of a
+    graph on m = len(groups) vertices.  Prefix k owns the field of m+1
+    bits from bit k(m+1): the guard at bit m, position i at bit m-1-i,
+    the identity's group value at the prefix's level top-aligned below
+    the guard, or bit 0 alone for a prefix of full length.  This is
+    ``enumeration._pack`` as a per-prefix loop, kept only to check that
+    the byte packer sets the very same bits.
+    """
+    m = len(groups)
+    width = m + 1
+    at = [0] * m
+    ident = complete = guards = 0
+    for k, prefix in enumerate(prefixes):
+        base = k * width
+        guards |= 1 << base + m
+        for i, v in enumerate(prefix):
+            at[v] |= 1 << base + m - 1 - i
+        level = len(prefix)
+        if level == m:
+            complete |= 1 << base
+        else:
+            for i in range(level):
+                if groups[level] >> level - 1 - i & 1:
+                    ident |= 1 << base + m - 1 - i
+    return at, ident, complete, guards
 
 
 def brute_matching_number(g: Graph) -> int:

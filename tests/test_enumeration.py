@@ -12,8 +12,9 @@ from fanfree.cli import main
 from fanfree import enumeration
 from fanfree.enumeration import (ENUMERATION_MAX_N, EnumerationTask,
                                  _canonical_child, _child_twins, _children,
-                                 _greater_order, _prefix_tree, _reverse_bits,
-                                 _twins, are_isomorphic, canonical_form,
+                                 _greater_order, _merged_tree, _pack,
+                                 _prefix_tree, _reverse_bits, _twins,
+                                 are_isomorphic, canonical_form,
                                  canonical_label, count_classes,
                                  enumerate_graphs, stream_graph6,
                                  write_graph6)
@@ -23,7 +24,7 @@ from fanfree.graphs import (Graph, Graph6Error, circulant_graph,
                             graph6_decode, graph6_encode, make_fan, make_split,
                             path_graph)
 
-from helpers import all_labeled_graphs, permuted, random_graph
+from helpers import all_labeled_graphs, permuted, random_graph, reference_pack
 
 # numbers of isomorphism classes; 1..6 re-derived by the labelled-dedup
 # oracle below, 7..9 pinned from standard enumeration tooling
@@ -325,8 +326,8 @@ def test_canonical_child_equals_full_search():
             for v in range(n):
                 if s >> v & 1:
                     mine |= tree.at[v]
-            assert (_canonical_child(g.adj, twins, tree, child, _reverse_bits(s, n), mine)
-                    is not None) == canonical, \
+            assert (_canonical_child(g.adj, twins, tree, child, _reverse_bits(s, n), mine,
+                                     False) is not None) == canonical, \
                 (graph6_encode(g), s)
             verdicts.append(canonical)
     assert (len(verdicts), broken) == (7194 + 3, 4096)
@@ -335,24 +336,33 @@ def test_canonical_child_equals_full_search():
 
 def test_walk_builds_one_tree_per_parent(monkeypatch):
     # every parent of orders 1..7 builds exactly one prefix tree, under
-    # its own twin masks
-    calls = []
+    # its own twin masks: the root and each child that splits a twin
+    # class of its parent by a search, every other child by a merge
+    searched, merged = [], []
 
-    def counting(rows, twins):
-        calls.append(twins == _twins(rows, len(rows)))
+    def searching(rows, twins):
+        searched.append(twins == _twins(rows, len(rows)))
         return _prefix_tree(rows, twins)
 
-    monkeypatch.setattr(enumeration, "_prefix_tree", counting)
+    def merging(rows, parent, own):
+        tree = _merged_tree(rows, parent, own)
+        merged.append(tree == _prefix_tree(rows, _twins(rows, len(rows))))
+        return tree
+
+    monkeypatch.setattr(enumeration, "_prefix_tree", searching)
+    monkeypatch.setattr(enumeration, "_merged_tree", merging)
     assert sum(1 for _ in enumerate_graphs(EnumerationTask(8))) == 12346
-    assert len(calls) == sum(count_classes(j) for j in range(1, 8)) == 1252
-    assert all(calls)
+    assert (len(searched), len(merged)) == (351, 901)
+    assert len(searched) + len(merged) == sum(count_classes(j) for j in range(1, 8)) == 1252
+    assert all(searched) and all(merged)
 
 
 def test_walk_derives_twin_masks_only_past_the_packed_comparison(monkeypatch):
     # at n = 8 the pruned pass over the neighbour sets leaves 16,118
     # children to test, and only the 13,970 that the packed comparison
     # passes on the complete prefixes too get twin masks and one engine
-    # pass each; the trees stay one per parent
+    # pass each; the trees stay one per parent, and only the searched
+    # ones run the engine
     calls = Counter()
 
     def counted(name):
@@ -363,11 +373,97 @@ def test_walk_derives_twin_masks_only_past_the_packed_comparison(monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(enumeration, name, wrapper)
 
-    for name in ("_canonical_child", "_child_twins", "_prefix_tree", "_greater_order"):
+    for name in ("_canonical_child", "_child_twins", "_prefix_tree", "_merged_tree",
+                 "_greater_order"):
         counted(name)
     assert sum(1 for _ in enumerate_graphs(EnumerationTask(8))) == 12346
     assert calls == {"_canonical_child": 16118, "_child_twins": 13970,
-                     "_prefix_tree": 1252, "_greater_order": 13970 + 1252}
+                     "_prefix_tree": 351, "_merged_tree": 901,
+                     "_greater_order": 13970 + 351}
+
+
+def test_searched_trees_come_in_byte_order():
+    # the search takes candidates lowest first and records each prefix
+    # when it reaches it: each before its extensions, siblings by vertex
+    for n in range(1, 8):
+        for g in enumerate_graphs(EnumerationTask(n)):
+            prefixes = _prefix_tree(g.adj, _twins(g.adj, n)).prefixes
+            assert prefixes == sorted(prefixes), graph6_encode(g)
+            assert prefixes[0] == b"" and len(set(prefixes)) == len(prefixes)
+
+
+def test_unsplit_children_merge_their_parents_tree():
+    # every accepted child of every class with n <= 7 whose new vertex
+    # splits no parent twin class gets, by the merge, its searched tree
+    # on every field; on a child that splits a class the parent's
+    # prefixes are not the child's, so the same merge would be wrong
+    merged = split = 0
+    for n in range(1, 8):
+        for g in enumerate_graphs(EnumerationTask(n)):
+            twins = _twins(g.adj, n)
+            tree = _prefix_tree(g.adj, twins)
+            for child, child_twins, own in _children(g, twins, tree, grow=True):
+                searched = _prefix_tree(child.adj, child_twins)
+                unsplit = [tw & (1 << n) - 1 for tw in child_twins[:n]] == twins
+                assert (own is not None) == unsplit, graph6_encode(child)
+                if unsplit:
+                    assert _merged_tree(child.adj, tree, own) == searched, graph6_encode(child)
+                    merged += 1
+                else:
+                    holding_m = [p for p in searched.prefixes if n in p]
+                    assert sorted(tree.prefixes + holding_m) != searched.prefixes
+                    split += 1
+    assert merged + split == sum(count_classes(j) for j in range(2, 9))
+    assert (merged, split) == (10512, 3085)
+    # without grow no child records its prefixes
+    g = graph6_decode("F{`P?")
+    twins = _twins(g.adj, g.n)
+    assert all(own is None for _, _, own in _children(g, twins, _prefix_tree(g.adj, twins)))
+
+
+def test_byte_packer_matches_the_bit_loop(monkeypatch):
+    # on the searched tree of every class with n <= 7, and on every tree,
+    # searched or merged, that the walk to n = 8 packs
+    def check(rows, prefixes):
+        groups = [_reverse_bits(rows[level], level) for level in range(len(rows))]
+        tree = _pack(rows, prefixes)
+        assert (tree.at, tree.ident, tree.complete, tree.guards) == \
+            reference_pack(prefixes, groups), rows
+        return tree
+
+    for n in range(1, 8):
+        for g in enumerate_graphs(EnumerationTask(n)):
+            prefixes = []
+            _greater_order(g.adj, n, _twins(g.adj, n), [()], record=prefixes)
+            check(g.adj, prefixes)
+    packed = Counter()
+
+    def counting(rows, prefixes):
+        packed[len(rows)] += 1
+        return check(rows, prefixes)
+
+    monkeypatch.setattr(enumeration, "_pack", counting)
+    assert sum(1 for _ in enumerate_graphs(EnumerationTask(8))) == 12346
+    assert packed == {j: count_classes(j) for j in range(1, 8)}
+
+
+def test_shards_build_trees_only_for_the_classes_they_extend(monkeypatch):
+    # a child's tree is built when the walk extends it, so neither a
+    # leaf nor a class dealt to another shard gets one: each shard builds
+    # as many trees, searched plus merged, as when every tree was searched
+    built = []
+    for name in ("_prefix_tree", "_merged_tree"):
+        original = getattr(enumeration, name)
+        monkeypatch.setattr(enumeration, name,
+                            lambda *args, original=original: built.append(1) or original(*args))
+    counts = {}
+    for shards in (2, 3):
+        for index in range(shards):
+            built.clear()
+            for _ in enumerate_graphs(EnumerationTask(8, shard=(index, shards))):
+                pass
+            counts[index, shards] = len(built)
+    assert counts == {(0, 2): 642, (1, 2): 662, (0, 3): 445, (1, 3): 439, (2, 3): 472}
 
 
 def test_children_reach_the_test_exactly_where_the_tree_allows(monkeypatch):
@@ -378,9 +474,9 @@ def test_children_reach_the_test_exactly_where_the_tree_allows(monkeypatch):
     # child the tree rejects, and a child the hook refuses is not tested
     tested = []
 
-    def recording(rows, twins, tree, child, g, mine):
+    def recording(rows, twins, tree, child, g, mine, grow):
         tested.append(child.adj[-1])
-        return _canonical_child(rows, twins, tree, child, g, mine)
+        return _canonical_child(rows, twins, tree, child, g, mine, grow)
 
     monkeypatch.setattr(enumeration, "_canonical_child", recording)
     for n in range(1, 7):
@@ -394,10 +490,10 @@ def test_children_reach_the_test_exactly_where_the_tree_allows(monkeypatch):
                     and not _beats_on_a_short_prefix(g.adj, tree, s)]
             hooked = []
             tested.clear()
-            list(_children(g, twins, lambda child: hooked.append(child.adj[-1]) or True))
+            list(_children(g, twins, tree, lambda child: hooked.append(child.adj[-1]) or True))
             assert hooked == tested == want, graph6_encode(g)
             tested.clear()
-            list(_children(g, twins, lambda child: child.adj[-1] % 3 != 1))
+            list(_children(g, twins, tree, lambda child: child.adj[-1] % 3 != 1))
             assert tested == [s for s in want if s % 3 != 1], graph6_encode(g)
 
 
@@ -406,9 +502,9 @@ def test_children_search_only_what_the_prefilters_cannot_reject(monkeypatch):
     # and the twin-order rule rejects some the tree comparison cannot
     searched = []
 
-    def recording(rows, twins, tree, child, g, mine):
+    def recording(rows, twins, tree, child, g, mine, grow):
         searched.append(child.adj[-1])
-        return _canonical_child(rows, twins, tree, child, g, mine)
+        return _canonical_child(rows, twins, tree, child, g, mine, grow)
 
     monkeypatch.setattr(enumeration, "_canonical_child", recording)
     by_twins = 0
@@ -418,7 +514,7 @@ def test_children_search_only_what_the_prefilters_cannot_reject(monkeypatch):
             twins = _twins(adj, n)
             tree = _prefix_tree(adj, twins)
             searched.clear()
-            kept = [child.adj[-1] for child, _ in _children(g, twins)]
+            kept = [child.adj[-1] for child, _, _ in _children(g, twins, tree)]
             for s, rows in _extensions(g):
                 canonical = _greater_order(rows, n + 1, _twins(rows, n + 1), [()]) is None
                 assert (s in kept) == canonical, (graph6_encode(g), s)

@@ -21,8 +21,13 @@ def test_walk_counts_accepts_every_class():
     for order, level in counts.items():
         assert level["accepted"] == count_classes(order), order
         assert level["hook_calls"] == 0, order
-    assert sum(level["trees"] for level in counts.values()) == sum(
-        count_classes(j) for j in range(1, 7))
+    # one tree per parent: the root's and each splitting child's searched,
+    # the others merged from their parent's
+    assert {order: (level["searched_trees"], level["merged_trees"])
+            for order, level in counts.items()} == {
+        2: (1, 0), 3: (0, 2), 4: (1, 3), 5: (3, 8), 6: (11, 23), 7: (49, 107)}
+    assert sum(level["searched_trees"] + level["merged_trees"]
+               for level in counts.values()) == sum(count_classes(j) for j in range(1, 7))
 
 
 def test_walk_counts_counts_the_fan_hook():

@@ -16,8 +16,10 @@ row per child order:
 - accepted: canonical children;
 - hook_calls: calls of the walk's hook (the fan test with --k) on the
   children, which see only the leaves of the pruned pass;
-- trees, prefixes: ``_prefix_tree`` calls of the parents, and the equal
-  prefixes those trees hold;
+- searched_trees, merged_trees, prefixes: the parents' trees, searched
+  by ``_prefix_tree`` (the root's, and those of the classes that split a
+  twin class of their own parent) or merged by ``_merged_tree`` from
+  their own parent's tree, and the equal prefixes both kinds hold;
 - engine_calls, tie_starts: ``_greater_order`` passes of the canonicity
   tests, and the start prefixes handed to them.
 
@@ -41,7 +43,7 @@ from fanfree.matching import ForbiddenPattern  # noqa: E402
 from fanfree.search import _pattern_free  # noqa: E402
 
 COLUMNS = ("tested", "packed_rejects", "tie_rejects", "accepted", "hook_calls",
-           "trees", "prefixes", "engine_calls", "tie_starts")
+           "searched_trees", "merged_trees", "prefixes", "engine_calls", "tie_starts")
 
 
 def walk_counts(n: int, k: int | None = None) -> dict[int, Counter]:
@@ -49,17 +51,17 @@ def walk_counts(n: int, k: int | None = None) -> dict[int, Counter]:
     counts: dict[int, Counter] = defaultdict(Counter)
     originals = {name: getattr(enumeration, name) for name in
                  ("_children", "_canonical_child", "_child_twins", "_prefix_tree",
-                  "_greater_order")}
+                  "_merged_tree", "_greater_order")}
 
-    def children(parent, twins, keep=None):
+    def children(parent, twins, tree, keep=None, grow=False):
         def hook(child):
             counts[child.n]["hook_calls"] += 1
             return keep(child)
-        return originals["_children"](parent, twins, hook if keep else None)
+        return originals["_children"](parent, twins, tree, hook if keep else None, grow)
 
-    def canonical_child(rows, twins, tree, child, g, mine):
+    def canonical_child(rows, twins, tree, child, g, mine, grow):
         counts[child.n]["tested"] += 1
-        out = originals["_canonical_child"](rows, twins, tree, child, g, mine)
+        out = originals["_canonical_child"](rows, twins, tree, child, g, mine, grow)
         counts[child.n]["accepted"] += out is not None
         return out
 
@@ -67,22 +69,28 @@ def walk_counts(n: int, k: int | None = None) -> dict[int, Counter]:
         counts[len(rows) + 1]["twin_masks"] += 1
         return originals["_child_twins"](rows, twins, s)
 
-    def prefix_tree(rows, twins):
-        tree = originals["_prefix_tree"](rows, twins)
-        level = counts[len(rows) + 1]
-        level["trees"] += 1
-        level["prefixes"] += len(tree.prefixes)
-        return tree
+    def tree_counter(name, column):
+        def built(rows, *args):
+            tree = originals[name](rows, *args)
+            level = counts[len(rows) + 1]
+            level[column] += 1
+            level["prefixes"] += len(tree.prefixes)
+            return tree
+        return built
 
     def greater_order(adj, size, twins, starts, record=None):
         starts = list(starts)
-        if record is None:
+        # a tree search starts from the empty prefix, a canonicity test
+        # from ties that each end with the new vertex
+        if starts != [()]:
             counts[size]["engine_calls"] += 1
             counts[size]["tie_starts"] += len(starts)
         return originals["_greater_order"](adj, size, twins, starts, record)
 
     wrappers = {"_children": children, "_canonical_child": canonical_child,
-                "_child_twins": child_twins, "_prefix_tree": prefix_tree,
+                "_child_twins": child_twins,
+                "_prefix_tree": tree_counter("_prefix_tree", "searched_trees"),
+                "_merged_tree": tree_counter("_merged_tree", "merged_trees"),
                 "_greater_order": greater_order}
     for name, wrapper in wrappers.items():
         setattr(enumeration, name, wrapper)
