@@ -3,7 +3,7 @@ closed-form extremal constructions with self-checked builders.
 
 The flagship routine builds the fan-free isomorphism classes of a given
 order, pruning every class that contains a fan together with all its
-extensions, eigensolves those whose degree bound does not already rule
+extensions, eigensolves those whose degree and power bounds do not rule
 them out of the top values, and certifies the spectral-radius maximiser
 together with a uniqueness margin.  The certified claim: for k >= 2 and
 n >= 3k^2 - k - 2 the complete split graph is the unique maximiser;
@@ -15,11 +15,14 @@ from __future__ import annotations
 
 import itertools
 import json
+import logging
 import math
 import time
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, TextIO
+
+import numpy as np
 
 from .enumeration import (EnumerationTask, canonical_form, count_classes,
                           enumerate_graphs)
@@ -27,13 +30,21 @@ from .fans import _extension_fan_free, is_fan_free
 from .graphs import (Graph, circulant_graph, complete_graph, disjoint_union,
                      empty_graph, graph6_decode, join, split_parameter)
 from .matching import ForbiddenPattern, Regime, TuranRecord, is_kk2_free, turan_kk2
-from .spectral import (EIGEN_ACCURACY, _degree_bound, q1,
-                       rayleigh_power_lambda1, signless_laplacian, spectrum)
+from .spectral import (EIGEN_ACCURACY, _adjacency_bits, _power_bounds, _vertex_bounds,
+                       q1, rayleigh_power_lambda1, signless_laplacian, spectrum)
+
+logger = logging.getLogger("fanfree")
 
 # Two spectral radii closer than MARGIN are an apparent tie and are
 # re-verified; a re-verified tie closer than MARGIN_TIGHT stands.
 MARGIN = 1e-6
 MARGIN_TIGHT = 1e-12
+# The scan pulls this many graphs at a time: enough that its numpy calls
+# cost little per graph, few enough that a block's graphs and arrays
+# (about 0.6 KB per graph at n=9) stay small beside the process.
+SCAN_BLOCK = 1 << 12
+# Least wall time between two progress lines of one scan.
+PROGRESS_EVERY_S = 10.0
 
 
 @dataclass(frozen=True)
@@ -153,34 +164,65 @@ def _pattern_free(n: int, pattern: ForbiddenPattern,
 
 
 def _scan(graphs: Iterable[Graph]) -> tuple[list[tuple[float, str]], int]:
-    """``_trim`` of the entries of ``graphs``, which are all fan-free, and
-    their number.
+    """``_trim`` of the entries of ``graphs``, which are all fan-free and
+    of one order, and their number.
 
-    The graphs are eigensolved in descending order of their degree
-    bound.  Once five are solved, let floor be the smaller of the
-    fifth-best q1 and the best q1 minus MARGIN: ``_trim`` drops every
-    entry below floor, and floor never falls.  The scan stops at the
-    first graph whose bound plus the eigensolver's accuracy is below
-    floor, since every later bound is no larger, and only the solved
-    graphs at or above the final floor are canonicalised.  So the result
-    equals that of a scan that eigensolves every graph.
+    Let floor be -inf until five graphs are solved, then the smaller of
+    the fifth-best q1 and the best q1 minus MARGIN: ``_trim`` drops every
+    entry below it, and it never falls.  The graphs come in blocks of
+    SCAN_BLOCK, each taken in descending order of its degree bounds
+    (``_vertex_bounds``).  A block ends at the first bound below floor,
+    and a graph before that is skipped when its power bound
+    (``_power_bounds``) is below floor, both with the eigensolver's
+    accuracy as slack; the rest are eigensolved.  Each kernel runs once
+    per block, the power bounds only on the graphs whose degree bound
+    reaches the floor, once the scan's first five solves have set it.
+    After each block only the solved graphs at or above floor are held.
+    Every graph dropped has a q1 below a floor no higher than the final
+    one, so the result equals that of a scan that eigensolves every
+    graph.  A scan of more than one block logs progress at most every
+    PROGRESS_EVERY_S seconds.
     """
-    survivors = sorted(((_degree_bound(g), g) for g in graphs),
-                       key=itemgetter(0), reverse=True)
-    solved: list[tuple[float, Graph]] = []
+    held: list[tuple[float, Graph]] = []
     top: list[float] = []  # the five largest q1 values so far, descending
     floor = -math.inf
-    for bound, g in survivors:
-        if bound + EIGEN_ACCURACY < floor:
-            break
+    scanned = solves = 0
+    graphs = iter(graphs)
+    reported = time.monotonic()
+
+    def solve(g: Graph) -> None:
+        nonlocal top, floor, solves
         value = q1(g)
-        solved.append((value, g))
+        solves += 1
+        held.append((value, g))
         top = sorted(top + [value], reverse=True)[:5]
         if len(top) == 5:
             floor = min(top[4], top[0] - MARGIN)
-    entries = [(value, canonical_form(g).text) for value, g in solved
-               if value >= floor]
-    return _trim(entries), len(survivors)
+
+    while block := list(itertools.islice(graphs, SCAN_BLOCK)):
+        adj, deg = _adjacency_bits(block)
+        bounds = _vertex_bounds(adj, deg).max(axis=1)
+        order = np.argsort(-bounds, kind="stable")
+        first = order[:5 - len(top)].tolist()  # the scan's first five set the floor
+        for i in first:
+            solve(block[i])
+        # graphs below the floor now stay below it: neither checked nor solved
+        rest = order[len(first):]
+        rest = rest[bounds[rest] + EIGEN_ACCURACY >= floor]
+        power = _power_bounds(adj[rest], deg[rest])
+        for i, bound, check in zip(rest.tolist(), bounds[rest].tolist(), power.tolist()):
+            if bound + EIGEN_ACCURACY < floor:
+                break
+            if check + EIGEN_ACCURACY >= floor:
+                solve(block[i])
+        held = [e for e in held if e[0] >= floor]
+        scanned += len(block)
+        if scanned > len(block) and time.monotonic() - reported >= PROGRESS_EVERY_S:
+            reported = time.monotonic()
+            logger.info("scan: %d classes scanned, %d graphs held, %d eigensolves, "
+                        "floor %.6f", scanned, len(held), solves, floor)
+    entries = [(value, canonical_form(g).text) for value, g in held]
+    return _trim(entries), scanned
 
 
 def _scan_shard(args: tuple[int, ForbiddenPattern, tuple[int, int] | None]):

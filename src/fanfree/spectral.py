@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -29,6 +30,10 @@ JACOBI_SWEEP_BUDGET = 100
 EIGEN_ACCURACY = 1e-9
 # Largest spread of block row sums that still counts as equitable.
 EQUITABLE_SLACK = 1e-12
+# Power steps behind ``_power_bounds``.  Its vectors hold integers below
+# 126**(POWER_STEPS + 1) * 63 < 2**53 at every order up to 64, so each
+# int64 product and sum is exact, and so is its float64 conversion.
+POWER_STEPS = 5
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,39 +297,67 @@ def merris_bound(g: Graph) -> tuple[float, int]:
     bipartite graphs.  Isolated vertices are rejected (the average is
     undefined).
     """
-    best = -math.inf
-    argmax = -1
-    for v, value in enumerate(_vertex_bounds(g)):
-        if value is None:
-            raise ValueError(f"vertex {v} is isolated; bound undefined")
-        if value > best:
-            best = value
-            argmax = v
-    return best, argmax
+    bounds = _vertex_bounds(*_adjacency_bits([g]))[0].tolist()
+    # a vertex with a neighbour has a bound of at least 2
+    if 0.0 in bounds:
+        raise ValueError(f"vertex {bounds.index(0.0)} is isolated; bound undefined")
+    best = max(bounds)
+    return best, bounds.index(best)
 
 
-def _degree_bound(g: Graph) -> float:
-    """The ``merris_bound`` value over the non-isolated vertices only, and
-    0 for an edgeless graph.
+def _adjacency_bits(graphs: Sequence[Graph]) -> tuple[np.ndarray, np.ndarray]:
+    """The adjacency matrices and degrees of ``graphs``, at least one and
+    all of one order n: a ``(graphs, n, n)`` and a ``(graphs, n)`` uint8
+    array.
 
-    Isolated vertices add only zero eigenvalues, so the maximum over the
-    other vertices still bounds q1 from above.
+    The rows are unpacked from uint64 (a graph of order 64 sets bit 63),
+    one byte per bit, and the degrees are their sums, at most 63.  The
+    bound kernels below take this pair.
     """
-    return max((b for b in _vertex_bounds(g) if b is not None), default=0.0)
+    n = graphs[0].n
+    rows = np.array([g.adj for g in graphs], dtype="<u8")
+    octets = rows.view(np.uint8).reshape(len(graphs), n, 8)[:, :, :(n + 7) // 8]
+    adj = np.unpackbits(octets, axis=-1, count=n, bitorder="little")
+    return adj, adj.sum(axis=-1, dtype=np.uint8)
 
 
-def _vertex_bounds(g: Graph) -> list[float | None]:
-    """Per vertex, ``d_v + (sum of neighbour degrees)/d_v``, or None if isolated."""
-    deg = [row.bit_count() for row in g.adj]
-    out: list[float | None] = []
-    for d, row in zip(deg, g.adj):
-        total = 0
-        while row:
-            low = row & -row
-            total += deg[low.bit_length() - 1]
-            row ^= low
-        out.append(d + total / d if d else None)
-    return out
+def _vertex_bounds(adj: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    """Per graph and vertex, ``d_v + (sum of neighbour degrees)/d_v``, and 0
+    at an isolated vertex, from ``_adjacency_bits``.
+
+    This is the Collatz-Wielandt ratio (Qx)_v/x_v of Q = D + A at the
+    degree vector x = d (Wielandt 1950), so the largest value over the
+    non-isolated vertices bounds q1 from above; isolated vertices add
+    only zero eigenvalues.  The neighbour-degree sums, at most 63 * 63,
+    are exact in uint16, and the bound is ``d + S/d`` in float64:
+    correctly rounded quotient, then one rounded sum, as in the scalar
+    formula.  A fixed number of numpy calls serves one graph as well as
+    a block of thousands.
+    """
+    bound = np.einsum("gvu,gu->gv", adj, deg, dtype=np.uint16) / np.maximum(deg, 1)
+    bound += deg
+    return bound
+
+
+def _power_bounds(adj: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    """Per graph, the Collatz-Wielandt bound on q1 after POWER_STEPS
+    power steps, from ``_adjacency_bits``.
+
+    Starting from the degree vector, x <- Qx is iterated exactly in int64
+    (see POWER_STEPS).  The bound is the largest ratio (Qx)_v/x_v over
+    the non-isolated vertices, the only ones where x stays positive, and
+    0 for an edgeless graph.  For nonnegative Q the bound never rises
+    from one step to the next, and step 0 is ``_vertex_bounds``' maximum
+    up to rounding.
+    """
+    def step(x: np.ndarray) -> np.ndarray:
+        return np.einsum("gvu,gu->gv", adj, x, dtype=np.int64) + deg * x
+
+    x = deg.astype(np.int64)
+    for _ in range(POWER_STEPS):
+        x = step(x)
+    # an isolated vertex has x = Qx = 0, so its ratio is 0
+    return (step(x) / np.maximum(x, 1)).max(axis=1, initial=0.0)
 
 
 def quotient(m: SymMatrix, p: VertexPartition) -> QuotientMatrix:

@@ -4,9 +4,11 @@ Oracles here deliberately avoid the package's own algorithms: eigenvalues
 come from numpy.linalg, fan containment from a literal subset-embedding
 search, and matching numbers from exhaustive edge-subset search, so
 agreement is meaningful.  The exceptions are ``reference_spectrum``,
-``reference_graph6_encode`` and ``reference_pack``, earlier versions of the
-package's own Jacobi kernel, graph6 encoder and prefix-tree packer kept
-only to check that the current ones return the very same bits.
+``reference_graph6_encode``, ``reference_pack``, ``reference_vertex_bounds``,
+``reference_merris_bound`` and ``reference_power_bound``, earlier versions
+of the package's own Jacobi kernel, graph6 encoder, prefix-tree packer,
+degree-bound loop and one-graph power bound kept only to check that the
+current ones return the very same bits.
 """
 
 from __future__ import annotations
@@ -72,6 +74,46 @@ def numpy_q1(g: Graph) -> float:
                 q[i, j] = 1.0
         q[i, i] = float(g.degree(i))
     return float(np.linalg.eigvalsh(q)[-1])
+
+
+def reference_vertex_bounds(g: Graph) -> list[float | None]:
+    """Per vertex, ``d_v + (sum of neighbour degrees)/d_v``, or None if isolated."""
+    deg = [row.bit_count() for row in g.adj]
+    out: list[float | None] = []
+    for d, row in zip(deg, g.adj):
+        total = 0
+        while row:
+            low = row & -row
+            total += deg[low.bit_length() - 1]
+            row ^= low
+        out.append(d + total / d if d else None)
+    return out
+
+
+def reference_merris_bound(g: Graph) -> tuple[float, int]:
+    best = -math.inf
+    argmax = -1
+    for v, value in enumerate(reference_vertex_bounds(g)):
+        if value is None:
+            raise ValueError(f"vertex {v} is isolated; bound undefined")
+        if value > best:
+            best = value
+            argmax = v
+    return best, argmax
+
+
+def reference_power_bound(g: Graph, steps: int) -> float:
+    """Collatz-Wielandt bound on q1 after ``steps`` float64 power steps
+    x <- Qx from the degree vector, over the non-isolated vertices."""
+    adj = np.array([[(row >> u) & 1 for u in range(g.n)] for row in g.adj], dtype=np.float64)
+    x = adj.sum(axis=1)
+    live = x > 0
+    if not live.any():
+        return 0.0
+    q = adj + np.diag(x)
+    for _ in range(steps):
+        x = q @ x
+    return float(np.max((q @ x)[live] / x[live]))
 
 
 def numpy_spectrum(a: np.ndarray) -> np.ndarray:

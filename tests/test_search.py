@@ -3,9 +3,11 @@
 import hashlib
 import io
 import json
+import logging
 import math
 import random
 
+import numpy as np
 import pytest
 
 from fanfree import fans, search
@@ -167,16 +169,30 @@ def classes_7_8():
     return {n: list(enumerate_graphs(EnumerationTask(n))) for n in (7, 8)}
 
 
+def _full_scan(graphs, monkeypatch):
+    """``_scan`` with bounds that exclude nothing, and its q1 call count."""
+    calls = []
+    solve = search.q1
+    with monkeypatch.context() as m:
+        m.setattr(search, "_vertex_bounds", lambda adj, deg: np.full(deg.shape, math.inf))
+        m.setattr(search, "_power_bounds", lambda adj, deg: np.full(len(deg), math.inf))
+        m.setattr(search, "q1", lambda g: calls.append(g) or solve(g))
+        return search._scan(graphs), len(calls)
+
+
 @pytest.mark.parametrize("n,k", [(7, 2), (7, 3), (8, 2), (8, 3)])
 def test_bound_pruned_scan_matches_full_scan(classes_7_8, monkeypatch, n, k):
     free = [g for g in classes_7_8[n] if is_fan_free(g, k)]
-    pruned, scanned = search._scan(free)
-    # an infinite bound never excludes anything: every survivor is solved
-    monkeypatch.setattr(search, "_degree_bound", lambda g: math.inf)
-    full, full_scanned = search._scan(free)
-    assert pruned == full
-    assert scanned == full_scanned == len(free)
-    assert len(full) >= 5
+    # the reference eigensolves every graph
+    full, solves = _full_scan(free, monkeypatch)
+    assert solves == len(free)
+    assert full[1] == len(free)
+    assert len(full[0]) >= 5
+    # blocks of 7 cross many block boundaries, carry entries across them
+    # and raise the floor block by block
+    for block in (search.SCAN_BLOCK, 7):
+        monkeypatch.setattr(search, "SCAN_BLOCK", block)
+        assert search._scan(free) == full, block
 
 
 def test_scan_stop_rule_allows_eigensolver_error(monkeypatch):
@@ -187,7 +203,8 @@ def test_scan_stop_rule_allows_eigensolver_error(monkeypatch):
     # returns a few ulps above 6, the second one higher.  After five
     # solves the floor is the first cubic q1, above the second's bound:
     # only the EIGEN_ACCURACY slack lets the scan solve the second and
-    # keep it as fifth.
+    # keep it as fifth.  A regular graph's power bound is its degree
+    # bound, so the slack must hold for both.
     k8_minus = complete_graph(8).without_edge(0, 1)
     dense = [complete_graph(8), k8_minus, k8_minus.without_edge(1, 2),
              k8_minus.without_edge(2, 3)]
@@ -195,10 +212,29 @@ def test_scan_stop_rule_allows_eigensolver_error(monkeypatch):
     assert all(g.degree_sequence() == (3,) * 8 for g in cubic)
     graphs = dense + cubic
     pruned = search._scan(graphs)
-    monkeypatch.setattr(search, "_degree_bound", lambda g: math.inf)
-    full = search._scan(graphs)
+    full, solves = _full_scan(graphs, monkeypatch)
+    assert solves == len(graphs)
     assert pruned == full
     assert full[0][4][1] == canonical_form(cubic[1]).text
+
+
+def test_scan_progress_only_past_one_block(classes_7_8, monkeypatch, caplog):
+    free = [g for g in classes_7_8[7] if is_fan_free(g, 2)]
+    caplog.set_level(logging.INFO, logger="fanfree")
+    search._scan(free)
+    assert caplog.records == []  # one block writes nothing
+    # without the throttle every block after the first reports
+    monkeypatch.setattr(search, "SCAN_BLOCK", 100)
+    monkeypatch.setattr(search, "PROGRESS_EVERY_S", 0.0)
+    search._scan(free)
+    lines = [r.getMessage() for r in caplog.records]
+    assert len(lines) == -(-len(free) // 100) - 1
+    assert lines[-1].startswith(f"scan: {len(free)} classes scanned, ")
+    # the throttle keeps a fast scan of many blocks quiet
+    caplog.clear()
+    monkeypatch.setattr(search, "PROGRESS_EVERY_S", 10.0)
+    search._scan(free)
+    assert caplog.records == []
 
 
 def test_scan_keeps_near_ties_beyond_five(monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fanfree import spectral
 from fanfree.enumeration import EnumerationTask, enumerate_graphs
 from fanfree.graphs import (complete_bipartite, complete_graph, cycle_graph,
                             disjoint_union, empty_graph, graph6_decode,
@@ -15,8 +16,9 @@ from fanfree.graphs import (complete_bipartite, complete_graph, cycle_graph,
 from fanfree.search import efgg_construction
 from fanfree.spectral import (EIGEN_ACCURACY, JACOBI_OFF_FACTOR,
                               JACOBI_SWEEP_BUDGET, QuotientMatrix,
-                              SpectrumResult, SymMatrix, VertexPartition,
-                              _degree_bound,
+                              POWER_STEPS, SpectrumResult, SymMatrix,
+                              VertexPartition, _adjacency_bits, _power_bounds,
+                              _vertex_bounds,
                               eq1_identity, merris_bound, perron_dominance, q1,
                               q1_split_closed_form, q1_split_lower_bound,
                               quotient, quotient_eigenvalues,
@@ -24,7 +26,9 @@ from fanfree.spectral import (EIGEN_ACCURACY, JACOBI_OFF_FACTOR,
                               spectrum, split_quotient)
 
 from helpers import (numpy_q1, numpy_spectrum, permuted, random_connected_graph,
-                     random_graph, random_regular_graph, reference_spectrum)
+                     random_graph, random_regular_graph, reference_merris_bound,
+                     reference_power_bound, reference_spectrum,
+                     reference_vertex_bounds)
 
 
 def test_sym_matrix_validation():
@@ -191,19 +195,78 @@ def test_merris_bound():
         merris_bound(disjoint_union(empty_graph(1), complete_graph(3)))
 
 
-def test_degree_bound_covers_every_small_class():
+def test_degree_bound_covers_every_small_class(monkeypatch):
     # every class up to order 7, isolated vertices and the edgeless graph
-    # included; where merris_bound is defined the two agree exactly
+    # included: q1 lies below the degree bound and below every power
+    # step's bound, each up to the eigensolver's accuracy
     for n in range(1, 8):
-        for g in enumerate_graphs(EnumerationTask(n)):
-            bound = _degree_bound(g)
-            assert q1(g) <= bound + EIGEN_ACCURACY, graph6_encode(g)
-            if all(g.degree(v) for v in range(n)):
-                assert bound == merris_bound(g)[0]
-    assert _degree_bound(empty_graph(4)) == 0.0
-    isolated = disjoint_union(empty_graph(1), complete_graph(3))
-    assert _degree_bound(isolated) == 4.0
-    assert abs(q1(isolated) - 4.0) < 1e-9
+        graphs = list(enumerate_graphs(EnumerationTask(n)))
+        values = [q1(g) for g in graphs]
+        adj, deg = _adjacency_bits(graphs)
+        degree = _vertex_bounds(adj, deg).max(axis=1).tolist()
+        steps = []
+        for s in range(POWER_STEPS + 1):
+            monkeypatch.setattr(spectral, "POWER_STEPS", s)
+            steps.append(_power_bounds(adj, deg).tolist())
+        for i, g in enumerate(graphs):
+            bounds = [step[i] for step in steps]
+            assert values[i] <= degree[i] + EIGEN_ACCURACY, graph6_encode(g)
+            assert all(values[i] <= b + EIGEN_ACCURACY for b in bounds), graph6_encode(g)
+            # step 0 is the degree bound up to rounding, and no step rises
+            assert abs(bounds[0] - degree[i]) <= 1e-12 * degree[i]
+            assert all(b <= a * (1 + 1e-12) for a, b in zip(bounds, bounds[1:]))
+    monkeypatch.undo()
+    for g, bound in [(empty_graph(4), 0.0),
+                     (disjoint_union(empty_graph(1), complete_graph(3)), 4.0)]:
+        adj, deg = _adjacency_bits([g])
+        assert _vertex_bounds(adj, deg).max() == bound
+        assert _power_bounds(adj, deg).tolist() == [bound]
+        assert abs(q1(g) - bound) < 1e-9
+
+
+def _random_graphs():
+    rng = random.Random(64)
+    return [random_graph(rng, n, rng.random()) for n in range(1, 65) for _ in range(3)]
+
+
+def test_vertex_bounds_match_scalar_loop():
+    # the batched kernel returns the scalar loop's bits, 0 at isolated
+    # vertices: every class up to order 8, and random graphs up to order
+    # 64, where vertex 63 sets bit 63 of its neighbours' rows
+    random_graphs = _random_graphs()
+    for n in range(1, 65):
+        graphs = (list(enumerate_graphs(EnumerationTask(n))) if n <= 8 else
+                  [g for g in random_graphs if g.n == n])
+        expect = [[b or 0.0 for b in reference_vertex_bounds(g)] for g in graphs]
+        assert _vertex_bounds(*_adjacency_bits(graphs)).tolist() == expect, n
+
+
+def test_power_bounds_match_one_graph_float_loop():
+    # the int64 batch returns the bits of a float64 power iteration on one
+    # graph at a time: every class up to order 7, and random graphs up to
+    # order 64, where the last step's entries come near 2**53
+    random_graphs = _random_graphs()
+    for n in range(1, 65):
+        graphs = (list(enumerate_graphs(EnumerationTask(n))) if n <= 7 else
+                  [g for g in random_graphs if g.n == n])
+        expect = [reference_power_bound(g, POWER_STEPS) for g in graphs]
+        assert _power_bounds(*_adjacency_bits(graphs)).tolist() == expect, n
+
+
+def test_merris_bound_matches_scalar_loop():
+    # value, smallest argmax and the isolated-vertex error as before
+    graphs = _random_graphs() + [make_split(8, 2), cycle_graph(5),
+                                 disjoint_union(complete_graph(3), empty_graph(2))]
+    for g in graphs:
+        try:
+            expect = reference_merris_bound(g)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{exc}$"):
+                merris_bound(g)
+            continue
+        value, vertex = merris_bound(g)
+        assert type(value) is float and type(vertex) is int
+        assert (value, vertex) == expect, graph6_encode(g)
 
 
 def test_merris_equality_cases():
