@@ -41,10 +41,10 @@ prefix where the new vertex ties.  A tree's prefixes come in byte
 order, so a child that splits no parent twin class, whose search
 reaches the parent's prefixes again, merges its tree from them and
 those its engine pass reaches; only the root and the children that
-split a class search for theirs.  The walk carries a graph, its twin
-masks and what its tree is merged from, and builds the tree only for a
-graph it extends: a child's masks follow from its parent's, and the
-hook, the tests and the output share one graph.
+split a class search for theirs.  The walk is one loop over a stack of
+frames, each a parent's tree and its children's iterator, and builds a
+tree only for a graph it extends: a child's masks follow from its
+parent's, and the hook, the tests and the output share one graph.
 
 ``count_classes`` counts the classes of an order without building them,
 so a pruned walk can still report how many classes exist.
@@ -441,10 +441,10 @@ def enumerate_graphs(task: EnumerationTask, *,
     plan, the classes on ``max(n-2, 1)`` vertices are dealt out
     round-robin, and a shard extends only the classes dealt to it.
 
-    The walk carries a graph and its twin masks from the one-vertex
-    graph, and builds a prefix tree only for a graph it extends, so no
-    leaf and no class dealt to another shard gets one.
-    ``hereditary``, when given, is a property closed under
+    One loop drives the walk over a stack of frames, each a parent's
+    prefix tree and its children's iterator, and builds a tree only for
+    a graph it extends, so no leaf and no class dealt to another shard
+    gets one.  ``hereditary``, when given, is a property closed under
     vertex deletion.  It is called on the one-vertex graph and then on
     every child that the parent's prefix tree does not reject, before
     its engine pass, at every order up to ``n``; it may assume that the
@@ -458,22 +458,21 @@ def enumerate_graphs(task: EnumerationTask, *,
     if hereditary is not None and not hereditary(root):
         return
     deal = itertools.count()
-
-    def walk(g: Graph, twins: list[int], parent: _PrefixTree | None,
-             own: list[bytes] | None) -> Iterator[Graph]:
-        if (shard is not None and g.n == max(n - 2, 1)
-                and next(deal) % shard[1] != shard[0]):
-            return
-        if g.n == n:
-            yield g
-            return
-        tree = _prefix_tree(g.adj, twins) if own is None else _merged_tree(g.adj, parent, own)
-        for child, child_twins, child_own in _children(g, twins, tree, hereditary, g.n + 1 < n):
-            yield from walk(child, child_twins, tree, child_own)
-
-    for g in walk(root, [1], None, None):
-        if not task.connected_only or g.is_connected():
-            yield g
+    frames = [(None, iter([(root, [1], None)]))]
+    while frames:
+        parent, children = frames[-1]
+        for g, twins, own in children:
+            if shard and g.n == max(n - 2, 1) and next(deal) % shard[1] != shard[0]:
+                continue
+            if g.n == n:
+                if not task.connected_only or g.is_connected():
+                    yield g
+                continue
+            tree = _prefix_tree(g.adj, twins) if own is None else _merged_tree(g.adj, parent, own)
+            frames.append((tree, _children(g, twins, tree, hereditary, g.n + 1 < n)))
+            break
+        else:
+            frames.pop()
 
 
 def count_classes(n: int) -> int:

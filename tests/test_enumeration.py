@@ -4,6 +4,7 @@ import hashlib
 import io
 import itertools
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -584,8 +585,32 @@ def test_hereditary_prune_keeps_every_free_class(classes_to_8, k):
 
 
 def test_hereditary_prune_count_n9():
-    free = lambda g: is_fan_free(g, 2)
-    assert sum(map(free, enumerate_graphs(EnumerationTask(9), hereditary=free))) == 17642
+    # fan-free classes of order 9; the k=4 count is summed over two
+    # shards, so the shard deal is checked at n=9 as well
+    for k, shards, count in ((2, [None], 17642), (3, [None], 123685),
+                             (4, [(0, 2), (1, 2)], 264255)):
+        free = lambda g: is_fan_free(g, k)
+        assert sum(sum(map(free, enumerate_graphs(EnumerationTask(9, shard=shard),
+                                                  hereditary=free)))
+                   for shard in shards) == count, k
+
+
+def test_walk_resumes_one_frame_per_graph():
+    # past the root, the hook runs at one frame depth at every order: the
+    # walk keeps one frame per order on its own stack, so no graph passes
+    # up through a generator per level
+    depths = {}
+
+    def hook(g):
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        depths.setdefault(g.n, set()).add(depth)
+        return True
+
+    assert sum(1 for _ in enumerate_graphs(EnumerationTask(7), hereditary=hook)) == 1044
+    assert sorted(depths) == list(range(1, 8))
+    assert len(set().union(*(depths[n] for n in range(2, 8)))) == 1
 
 
 def test_stream_graph6_roundtrip():
