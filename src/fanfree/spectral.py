@@ -4,9 +4,13 @@ The eigensolver is cyclic Jacobi on the full dense matrix: orders are at
 most 64, so the O(n^3)-per-sweep cost is negligible, and Jacobi is
 backward-stable and easy to make deterministic.  Row p of each (p, q)
 pass stays in a two-row buffer beside row q, so a rotation is one numpy
-multiply and one numpy add on that buffer; ``rayleigh_power_lambda1``
-provides an algorithmically independent cross-check of the dominant
-eigenvalue for tests.
+multiply and one numpy add on that buffer, and the diagonal stays in
+Python floats, where the pivot arithmetic already runs.  Its bits are
+those of rotating whole rows: the buffer's stale and diagonal slots feed
+only entries the pivot block overwrites, so they need no store, and the
+diagonal is written back before each sweep's norm.
+``rayleigh_power_lambda1`` provides an algorithmically independent
+cross-check of the dominant eigenvalue for tests.
 """
 
 from __future__ import annotations
@@ -129,16 +133,24 @@ def _jacobi(a: np.ndarray, off_target: float, max_sweeps: int):
     """Cyclic Jacobi sweeps on ``a`` in place; returns (residual, sweeps).
 
     The pass over q for one p keeps row p in ``pair[0]`` and loads row q
-    into ``pair[1]``.  Two things keep every bit equal to rotating whole
-    rows of ``a`` with ``c*x - s*y``.  The products and the sums are
-    separate numpy calls, never a fused multiply-add: ``c*x + (-s)*y``
-    rounds like ``c*x - s*y``, since negation is exact.  And row and
-    column p are written back to ``a`` once per pass: the pass reads row
-    p from the buffer, and the stale column-p entry of each loaded row q
-    feeds only the entries that the pivot block overwrites.
+    into ``pair[1]``; the diagonal lives in the Python list ``d``.  Four
+    things keep every bit equal to rotating whole rows of ``a`` with
+    ``c*x - s*y``.  The products and the sums are separate numpy calls,
+    never a fused multiply-add: ``c*x + (-s)*y`` rounds like ``c*x -
+    s*y``, since negation is exact.  The pivots ``app - t*apq`` and
+    ``aqq + t*apq`` are the same Python float expressions on the same
+    values, kept in ``d`` rather than stored into the rows.  Inside a
+    sweep the diagonal slots of ``a`` and of the buffer are scratch: like
+    the stale column-p entry of each loaded row q, they feed only entries
+    that the pivot block overwrites, and ``d`` is written back over them
+    before each norm, so no scratch value is squared and ``a`` is exact
+    at every sweep boundary.  And row and column p are written back to
+    ``a`` once per pass, from the buffer, so the entry ``rq[p]`` that row
+    q carries back is dead and is never stored.
     """
     n = a.shape[0]
-    at = a.T
+    rows, cols = list(a), list(a.T)
+    d = a.diagonal().tolist()
     pair = np.empty((2, n))
     rp, rq = pair
     # terms[j, i] = rot[j, i] * pair[j]: the share of row j in the new row
@@ -153,15 +165,15 @@ def _jacobi(a: np.ndarray, off_target: float, max_sweeps: int):
     off = _offdiag_norm(a)
     while off > off_target and sweeps < max_sweeps:
         for p in range(n - 1):
-            rp[:] = a[p]
+            rp[:] = rows[p]
+            app = d[p]
             for q in range(p + 1, n):
                 # Scalar rotation in Python floats: an overflowing tau
                 # becomes inf silently and gives t = 0 (no rotation).
                 apq = rp.item(q)
                 if apq == 0.0:
                     continue
-                app = rp.item(p)
-                aqq = a.item(q, q)
+                aqq = d[q]
                 tau = (aqq - app) / (2.0 * apq)
                 if tau >= 0.0:
                     t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
@@ -169,21 +181,24 @@ def _jacobi(a: np.ndarray, off_target: float, max_sweeps: int):
                     t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
-                # rp, rq = c*rp + (-s)*rq, s*rp + c*rq, then the four
-                # entries of the 2x2 pivot block; row q goes back to a as
-                # row and column q at once, row p after the pass.
-                rq[:] = a[q]
+                # rp, rq = c*rp + (-s)*rq, s*rp + c*rq, then the pivot
+                # block: its diagonal goes to d and rp[q] to 0; row q goes
+                # back to a as row and column q at once, row p after the
+                # pass.
+                rq[:] = rows[q]
                 coef[0] = coef[3] = c
                 coef[1] = s
                 coef[2] = -s
                 np.multiply(rot, by_source, terms)
                 np.add(from_p, from_q, pair)
-                rp[p] = app - t * apq
-                rq[q] = aqq + t * apq
-                rp[q] = rq[p] = 0.0
-                a[q] = at[q] = rq
-            a[p] = at[p] = rp
+                app = app - t * apq
+                d[q] = aqq + t * apq
+                rp[q] = 0.0
+                rows[q][:] = cols[q][:] = rq
+            d[p] = app
+            rows[p][:] = cols[p][:] = rp
         sweeps += 1
+        np.fill_diagonal(a, d)
         off = _offdiag_norm(a)
     return off, sweeps
 
@@ -244,12 +259,9 @@ def rayleigh_power_lambda1(m: SymMatrix, tol: float = 1e-10,
 
 def signless_laplacian(g: Graph) -> SymMatrix:
     """Degree-diagonal plus adjacency matrix; integer-valued and PSD."""
-    n = g.n
-    arr = np.zeros((n, n))
-    for v in range(n):
-        arr[v, v] = g.degree(v)
-        for u in bits(g.adj[v]):
-            arr[v, u] = 1.0
+    adj, deg = _adjacency_bits([g])
+    arr = adj[0].astype(np.float64)
+    np.fill_diagonal(arr, deg[0])
     return SymMatrix(arr)
 
 

@@ -25,10 +25,10 @@ from fanfree.spectral import (EIGEN_ACCURACY, JACOBI_OFF_FACTOR,
                               rayleigh_power_lambda1, signless_laplacian,
                               spectrum, split_quotient)
 
-from helpers import (numpy_q1, numpy_spectrum, permuted, random_connected_graph,
-                     random_graph, random_regular_graph, reference_merris_bound,
-                     reference_power_bound, reference_spectrum,
-                     reference_vertex_bounds)
+from helpers import (_reference_jacobi, numpy_q1, numpy_spectrum, permuted,
+                     random_connected_graph, random_graph, random_regular_graph,
+                     reference_merris_bound, reference_power_bound,
+                     reference_spectrum, reference_vertex_bounds)
 
 
 def test_sym_matrix_validation():
@@ -86,6 +86,13 @@ def _assert_same_bits_as_reference(m: SymMatrix, off_factor: float = JACOBI_OFF_
     assert [x.hex() for x in got.eigenvalues] == [x.hex() for x in eig]
     assert got.offdiag_residual.hex() == off.hex()
     assert got.sweeps == sweeps
+    # the whole final matrix too: no scratch diagonal slot or stale
+    # column-p entry of the two-row kernel may survive a sweep
+    a, b = np.array(m.entries), np.array(m.entries)
+    off_target = off_factor * m.order
+    assert (spectral._jacobi(a, off_target, JACOBI_SWEEP_BUDGET)
+            == _reference_jacobi(b, off_target, JACOBI_SWEEP_BUDGET))
+    assert a.tobytes() == b.tobytes()
     return got
 
 
@@ -119,6 +126,11 @@ def test_spectrum_bits_match_whole_row_kernel_random(data):
     if data.draw(st.booleans()):
         a[np.random.default_rng(seed + 1).random((n, n)) < 0.5] = 0.0
     _assert_same_bits_as_reference(SymMatrix((a + a.T) / 2.0))
+    # scaled near overflow and to where squares underflow: a scratch slot
+    # that grew or was squared would raise a warning, an error under pytest
+    for scale in (1e150, 1e-300):
+        for off_factor in (JACOBI_OFF_FACTOR, 1e-14):
+            _assert_same_bits_as_reference(SymMatrix((a + a.T) * (scale / 2.0)), off_factor)
 
 
 def test_rayleigh_power_raises_when_budget_runs_out():
