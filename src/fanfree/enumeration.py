@@ -37,14 +37,17 @@ vertex at a time, depth first; a branch that breaks the rule, or on
 which the new vertex beats the identity along a prefix, is cut with
 every child below it.  Only a child whose new vertex never beats the
 identity gets its twin masks and one engine pass, started from every
-prefix where the new vertex ties.  A tree's prefixes come in byte
-order, so a child that splits no parent twin class, whose search
-reaches the parent's prefixes again, merges its tree from them and
-those its engine pass reaches; only the root and the children that
-split a class search for theirs.  The walk is one loop over a stack of
-frames, each a parent's tree and its children's iterator, and builds a
-tree only for a graph it extends: a child's masks follow from its
-parent's, and the hook, the tests and the output share one graph.
+prefix where the new vertex ties.  Every tree packs its prefixes in
+fields of one width, so a vertex's mark and each level's identity
+value sit at the same bits in a parent's tree and in its child's.  A
+child that splits no parent twin class, whose search reaches the
+parent's prefixes again, keeps its parent's packed fields as they are
+and appends those of the prefixes its engine pass reaches; only the
+root and the children that split a class search for theirs, and a
+child's tree formats only its own level.  The walk is one loop over a
+stack of frames, each a parent's tree and its children's iterator, and
+builds a tree only for a graph it extends: a child's masks follow from
+its parent's, and the hook, the tests and the output share one graph.
 
 ``count_classes`` counts the classes of an order without building them,
 so a pruned walk can still report how many classes exist.
@@ -211,49 +214,68 @@ def _child_twins(rows: tuple[int, ...], twins: list[int], s: int) -> list[int]:
     return out
 
 
+# One field width for every tree: a guard bit above room for a prefix of
+# any enumeration order.
+_WIDTH = ENUMERATION_MAX_N + 1
+
+
 class _PrefixTree(NamedTuple):
-    """The equal prefixes of a canonical parent's search in byte order,
-    packed one field of m+1 bits per prefix: prefix k's field starts at
-    bit k(m+1), and position i is bit m-1-i of a field, so fields compare
-    as group values.  ``at[v]`` marks v at its position in every prefix
-    that holds it; ``ident`` holds the identity's group value at each
-    prefix's level.  ``complete`` has bit 0 of each field of full length,
-    whose level is the new vertex's own, and ``guards`` bit m of every
-    field."""
+    """The equal prefixes of a canonical parent's search on m vertices,
+    packed one field of ``_WIDTH`` bits per prefix whatever m is: prefix
+    k's field starts at bit k*_WIDTH, the field's top bit is its guard,
+    and position i is the i-th bit below the guard.  So fields compare as
+    group values, and a bit means the same in a parent's tree and in its
+    child's.  ``at[v]`` marks v at its position in every prefix that
+    holds it; ``ident`` holds the identity's group value at each prefix's
+    level.  A prefix of full length m has the new vertex's own level:
+    ``complete`` has the bit m below its guard, so ``complete * g``
+    places the new vertex's group value g there.  ``guards`` has every
+    guard, and ``levels[j]`` the identity's field at level j as binary
+    text, which a child's tree reuses.  A searched tree's prefixes come
+    in byte order; a merged tree's come in its parent's order, then its
+    own."""
 
     prefixes: list[bytes]
     at: list[int]
     ident: int
     complete: int
     guards: int
+    levels: list[str]
 
 
 # translation tables: byte b to "1", every other byte to "0"
 _ONE = [b"0" * b + b"1" + b"0" * (255 - b) for b in range(256)]
 
 
-def _pack(rows: tuple[int, ...], prefixes: list[bytes]) -> _PrefixTree:
-    """The tree of the canonical graph ``rows`` whose equal prefixes,
-    sorted, are ``prefixes``.  Each field is written as m+1 bytes, most
-    significant first: a guard byte 0xFE, then the prefix padded to m
+def _field(group: int, level: int) -> str:
+    """The field of ``group``, the group value at ``level``, as binary text."""
+    return format(group << _WIDTH - 1 - level, f"0{_WIDTH}b")
+
+
+def _pack(prefixes: list[bytes], levels: list[str]) -> _PrefixTree:
+    """The tree of the equal ``prefixes``, the first in the lowest field,
+    of a canonical graph on m vertices whose identity fields are
+    ``levels``, m of them.  Each field is written as ``_WIDTH`` bytes,
+    most significant first: a guard byte 0xFE, then the prefix padded
     with 0xFF, so one byte translation and one base-2 parse give the
     guards and each vertex's marks.
     """
-    m = len(rows)
-    width = m + 1
-    text = b"\xfe".join([b""] + [p.ljust(m, b"\xff") for p in reversed(prefixes)])
-    fields = [format(_reverse_bits(rows[level], level) << m - level, f"0{width}b")
-              for level in range(m)] + [format(1, f"0{width}b")]
+    m = len(levels)
+    text = b"\xfe".join([b""] + [p.ljust(_WIDTH - 1, b"\xff") for p in reversed(prefixes)])
+    fields = levels + [_field(1, m)]
     marks = int("".join([fields[len(p)] for p in reversed(prefixes)]), 2)
     guards = int(text.translate(_ONE[0xFE]), 2)
     complete = marks & guards >> m
     return _PrefixTree(prefixes, [int(text.translate(_ONE[v]), 2) for v in range(m)],
-                       marks ^ complete, complete, guards)
+                       marks ^ complete, complete, guards, levels)
 
 
-def _prefix_tree(rows: tuple[int, ...], twins: list[int]) -> _PrefixTree:
+def _prefix_tree(rows: tuple[int, ...], twins: list[int],
+                 parent: _PrefixTree | None = None) -> _PrefixTree:
     """Every equal prefix that the search of the canonical graph ``rows``
     reaches under the twin masks ``twins``, the complete orders included.
+    A child's tree takes its identity fields from its ``parent``'s, so
+    only its last level is formatted.
 
     The search takes candidates lowest first and records each prefix
     when it reaches it, so the prefixes come in byte order: each before
@@ -261,16 +283,34 @@ def _prefix_tree(rows: tuple[int, ...], twins: list[int]) -> _PrefixTree:
     """
     prefixes: list[bytes] = []
     _greater_order(rows, len(rows), twins, [()], record=prefixes)
-    return _pack(rows, prefixes)
+    levels = [] if parent is None else parent.levels
+    return _pack(prefixes, levels + [_field(_reverse_bits(rows[j], j), j)
+                                     for j in range(len(levels), len(rows))])
 
 
 def _merged_tree(rows: tuple[int, ...], parent: _PrefixTree, own: list[bytes]) -> _PrefixTree:
-    """The ``_prefix_tree`` of an accepted child ``rows`` whose new vertex m,
-    the last candidate, splits no twin class of its parent: along parent
-    vertices its search reaches the parent's prefixes, and ``own``, from
-    ``_canonical_child``, holds those with m.  One sort merges the two.
+    """The ``_prefix_tree`` of an accepted child ``rows``, up to the order
+    of its prefixes, when its new vertex m, the last candidate, splits no
+    twin class of its parent: along parent vertices its search reaches
+    the parent's prefixes, and ``own``, from ``_canonical_child``, holds
+    those with m.
+
+    The parent's fields stay as they are and ``own``'s are packed after
+    them.  A parent's complete prefix has level m in the child, where the
+    identity's group value is m's own, g, which ``parent.complete`` times
+    g places; the child's complete prefixes are all in ``own``.  The
+    prefixes come in the parent's order, then ``own``'s.
     """
-    return _pack(rows, sorted(parent.prefixes + own))
+    m = len(parent.at)
+    g = _reverse_bits(rows[m], m)
+    own_tree = _pack(own, parent.levels + [_field(g, m)])
+    shift = len(parent.prefixes) * _WIDTH
+    return _PrefixTree(
+        parent.prefixes + own,
+        [a | b << shift for a, b in zip(parent.at + [0], own_tree.at)],
+        parent.ident | parent.complete * g | own_tree.ident << shift,
+        own_tree.complete << shift, parent.guards | own_tree.guards << shift,
+        own_tree.levels)
 
 
 def _canonical_child(rows: tuple[int, ...], twins: list[int], tree: _PrefixTree,
@@ -320,18 +360,17 @@ def _canonical_child(rows: tuple[int, ...], twins: list[int], tree: _PrefixTree,
     ties = ((mine | guards) - ident) & guards  # m ties where it does not lose
     for w in range(m):  # keep the fields that hold each stand-in for m
         if child_twins[m] >> w & 1:
-            ties &= (tree.at[w] | guards) - (guards >> m)
-    width = m + 1
+            ties &= (tree.at[w] | guards) - (guards >> _WIDTH - 1)
     last = bytes((m,))
     starts, own = [], []  # own: the complete orders, which start no search
     while ties:
         low = ties & -ties
         ties ^= low
-        start = tree.prefixes[(low.bit_length() - 1) // width] + last
+        start = tree.prefixes[(low.bit_length() - 1) // _WIDTH] + last
         (own if len(start) > m else starts).append(start)
     if not grow or [tw & (1 << m) - 1 for tw in child_twins[:m]] != twins:
         own = None
-    if _greater_order(child.adj, width, child_twins, starts, own) is not None:
+    if _greater_order(child.adj, m + 1, child_twins, starts, own) is not None:
         return None
     return child_twins, own
 
@@ -468,7 +507,8 @@ def enumerate_graphs(task: EnumerationTask, *,
                 if not task.connected_only or g.is_connected():
                     yield g
                 continue
-            tree = _prefix_tree(g.adj, twins) if own is None else _merged_tree(g.adj, parent, own)
+            tree = (_prefix_tree(g.adj, twins, parent) if own is None
+                    else _merged_tree(g.adj, parent, own))
             frames.append((tree, _children(g, twins, tree, hereditary, g.n + 1 < n)))
             break
         else:

@@ -15,6 +15,7 @@ cross-check of the dominant eigenvalue for tests.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -322,12 +323,14 @@ def _adjacency_bits(graphs: Sequence[Graph]) -> tuple[np.ndarray, np.ndarray]:
     all of one order n: a ``(graphs, n, n)`` and a ``(graphs, n)`` uint8
     array.
 
-    The rows are unpacked from uint64 (a graph of order 64 sets bit 63),
-    one byte per bit, and the degrees are their sums, at most 63.  The
-    bound kernels below take this pair.
+    The rows, read in one pass over the graphs' adjacency tuples, are
+    unpacked from uint64 (a graph of order 64 sets bit 63), one byte per
+    bit, and the degrees are their sums, at most 63.  The bound kernels
+    below take this pair.
     """
     n = graphs[0].n
-    rows = np.array([g.adj for g in graphs], dtype="<u8")
+    rows = np.fromiter(itertools.chain.from_iterable(g.adj for g in graphs), dtype="<u8",
+                       count=len(graphs) * n)
     octets = rows.view(np.uint8).reshape(len(graphs), n, 8)[:, :, :(n + 7) // 8]
     adj = np.unpackbits(octets, axis=-1, count=n, bitorder="little")
     return adj, adj.sum(axis=-1, dtype=np.uint8)

@@ -19,6 +19,7 @@ import random
 
 import numpy as np
 
+from fanfree.enumeration import ENUMERATION_MAX_N
 from fanfree.graphs import Graph, from_edges
 
 
@@ -204,34 +205,45 @@ def reference_graph6_encode(g: Graph) -> str:
     return "".join(out)
 
 
-def reference_pack(prefixes: list[bytes], groups: list[int]) -> tuple[list[int], int, int, int]:
-    """(at, ident, complete, guards) of a prefix tree, one bit at a time.
+def reference_pack(prefixes: list[bytes], groups: list[int]
+                   ) -> tuple[list[int], int, int, int, list[str]]:
+    """(at, ident, complete, guards, levels) of a prefix tree, one bit at a time.
 
     ``groups[level]`` is the identity's group value at each level of a
-    graph on m = len(groups) vertices.  Prefix k owns the field of m+1
-    bits from bit k(m+1): the guard at bit m, position i at bit m-1-i,
-    the identity's group value at the prefix's level top-aligned below
-    the guard, or bit 0 alone for a prefix of full length.  This is
-    ``enumeration._pack`` as a per-prefix loop, kept only to check that
-    the byte packer sets the very same bits.
+    graph on m = len(groups) vertices.  Every field is w =
+    ENUMERATION_MAX_N + 1 bits wide, whatever m is, and prefix k, in the
+    order given, owns the field from bit k*w: the guard at bit w-1,
+    position i at bit w-2-i, the identity's group value at the prefix's
+    level top-aligned below the guard, or bit w-1-m alone for a prefix
+    of full length.  ``levels[j]`` is level j's group value as a field,
+    in w binary digits.  This is ``enumeration._pack`` as a per-prefix
+    loop, kept only to check that the byte packer, and the merge that
+    extends a parent's fields, set the very same bits.
     """
     m = len(groups)
-    width = m + 1
+    width = ENUMERATION_MAX_N + 1
     at = [0] * m
     ident = complete = guards = 0
     for k, prefix in enumerate(prefixes):
         base = k * width
-        guards |= 1 << base + m
+        guards |= 1 << base + width - 1
         for i, v in enumerate(prefix):
-            at[v] |= 1 << base + m - 1 - i
+            at[v] |= 1 << base + width - 2 - i
         level = len(prefix)
         if level == m:
-            complete |= 1 << base
+            complete |= 1 << base + width - 1 - m
         else:
             for i in range(level):
                 if groups[level] >> level - 1 - i & 1:
-                    ident |= 1 << base + m - 1 - i
-    return at, ident, complete, guards
+                    ident |= 1 << base + width - 2 - i
+    levels = []
+    for level, group in enumerate(groups):
+        digits = ["0"] * width
+        for i in range(level):
+            if group >> level - 1 - i & 1:
+                digits[1 + i] = "1"
+        levels.append("".join(digits))
+    return at, ident, complete, guards, levels
 
 
 def brute_matching_number(g: Graph) -> int:

@@ -7,6 +7,7 @@ import random
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from fanfree.cli import main
@@ -280,6 +281,29 @@ def test_reverse_bits_matches_the_bit_loop():
             assert _reverse_bits(s, m) == _reverse_bits(s | 5 << m, m) == want, (s, m)
 
 
+def _fields_by_prefix(tree):
+    """The prefixes of ``tree`` in byte order, with each one's field of
+    vertex marks, identity bits and complete bit in the same order, and
+    the tree's identity fields: an order-free map from each prefix to
+    its fields, so two trees give equal values iff they are equal up to
+    the order of their fields.  The tree must hold one field per prefix,
+    every guard and nothing else at or past its last field."""
+    width = ENUMERATION_MAX_N + 1
+    count = len(tree.prefixes)
+    assert len(set(tree.prefixes)) == count
+    assert tree.guards == int(("1" + "0" * (width - 1)) * count, 2)
+    packed = [*tree.at, tree.ident, tree.complete]
+    assert all(bits >> count * width == 0 for bits in packed)
+    size = (count * width + 7) // 8
+    octets = np.frombuffer(b"".join([bits.to_bytes(size, "little") for bits in packed]),
+                           dtype=np.uint8).reshape(len(packed), size)
+    # fields[i, k]: the field of prefix k in packed[i], lowest bit first
+    fields = np.unpackbits(octets, axis=1, count=count * width, bitorder="little"
+                           ).reshape(len(packed), count, width)
+    order = sorted(range(count), key=tree.prefixes.__getitem__)
+    return [tree.prefixes[k] for k in order], fields[:, order].tobytes(), tree.levels
+
+
 def _beats_on_a_short_prefix(adj, tree, s):
     """Whether a new vertex adjacent to ``s`` beats the identity along a
     recorded prefix of the tree shorter than the parent, bit by bit."""
@@ -338,16 +362,18 @@ def test_canonical_child_equals_full_search():
 def test_walk_builds_one_tree_per_parent(monkeypatch):
     # every parent of orders 1..7 builds exactly one prefix tree, under
     # its own twin masks: the root and each child that splits a twin
-    # class of its parent by a search, every other child by a merge
+    # class of its parent by a search, every other child by a merge that
+    # holds the searched tree's prefixes, each with the same fields
     searched, merged = [], []
 
-    def searching(rows, twins):
+    def searching(rows, twins, parent=None):
         searched.append(twins == _twins(rows, len(rows)))
-        return _prefix_tree(rows, twins)
+        return _prefix_tree(rows, twins, parent)
 
     def merging(rows, parent, own):
         tree = _merged_tree(rows, parent, own)
-        merged.append(tree == _prefix_tree(rows, _twins(rows, len(rows))))
+        merged.append(_fields_by_prefix(tree) ==
+                      _fields_by_prefix(_prefix_tree(rows, _twins(rows, len(rows)))))
         return tree
 
     monkeypatch.setattr(enumeration, "_prefix_tree", searching)
@@ -395,9 +421,10 @@ def test_searched_trees_come_in_byte_order():
 
 def test_unsplit_children_merge_their_parents_tree():
     # every accepted child of every class with n <= 7 whose new vertex
-    # splits no parent twin class gets, by the merge, its searched tree
-    # on every field; on a child that splits a class the parent's
-    # prefixes are not the child's, so the same merge would be wrong
+    # splits no parent twin class gets, by the merge, its searched tree's
+    # prefixes, each with the same fields; on a child that splits a
+    # class the parent's prefixes are not the child's, so the same merge
+    # would be wrong
     merged = split = 0
     for n in range(1, 8):
         for g in enumerate_graphs(EnumerationTask(n)):
@@ -408,11 +435,12 @@ def test_unsplit_children_merge_their_parents_tree():
                 unsplit = [tw & (1 << n) - 1 for tw in child_twins[:n]] == twins
                 assert (own is not None) == unsplit, graph6_encode(child)
                 if unsplit:
-                    assert _merged_tree(child.adj, tree, own) == searched, graph6_encode(child)
+                    assert _fields_by_prefix(_merged_tree(child.adj, tree, own)) == \
+                        _fields_by_prefix(searched), graph6_encode(child)
                     merged += 1
                 else:
                     holding_m = [p for p in searched.prefixes if n in p]
-                    assert sorted(tree.prefixes + holding_m) != searched.prefixes
+                    assert set(tree.prefixes + holding_m) != set(searched.prefixes)
                     split += 1
     assert merged + split == sum(count_classes(j) for j in range(2, 9))
     assert (merged, split) == (10512, 3085)
@@ -422,30 +450,78 @@ def test_unsplit_children_merge_their_parents_tree():
     assert all(own is None for _, _, own in _children(g, twins, _prefix_tree(g.adj, twins)))
 
 
+def _assert_packed_as_the_bit_loop(rows, tree):
+    groups = [_reverse_bits(rows[level], level) for level in range(len(rows))]
+    assert (tree.at, tree.ident, tree.complete, tree.guards, tree.levels) == \
+        reference_pack(tree.prefixes, groups), rows
+
+
 def test_byte_packer_matches_the_bit_loop(monkeypatch):
     # on the searched tree of every class with n <= 7, and on every tree,
-    # searched or merged, that the walk to n = 8 packs
-    def check(rows, prefixes):
-        groups = [_reverse_bits(rows[level], level) for level in range(len(rows))]
-        tree = _pack(rows, prefixes)
-        assert (tree.at, tree.ident, tree.complete, tree.guards) == \
-            reference_pack(prefixes, groups), rows
-        return tree
-
+    # searched or merged, that the walk to n = 8 builds, each with one
+    # call of the packer: a merge's fields extend its parent's fields
     for n in range(1, 8):
         for g in enumerate_graphs(EnumerationTask(n)):
-            prefixes = []
-            _greater_order(g.adj, n, _twins(g.adj, n), [()], record=prefixes)
-            check(g.adj, prefixes)
-    packed = Counter()
+            _assert_packed_as_the_bit_loop(g.adj, _prefix_tree(g.adj, _twins(g.adj, n)))
+    searched, merged, packed = Counter(), Counter(), Counter()
 
-    def counting(rows, prefixes):
-        packed[len(rows)] += 1
-        return check(rows, prefixes)
+    def checking(name, built):
+        original = getattr(enumeration, name)
 
-    monkeypatch.setattr(enumeration, "_pack", counting)
+        def wrapper(rows, *args):
+            tree = original(rows, *args)
+            _assert_packed_as_the_bit_loop(rows, tree)
+            built[len(rows)] += 1
+            return tree
+        monkeypatch.setattr(enumeration, name, wrapper)
+
+    def packing(prefixes, levels):
+        packed[len(levels)] += 1
+        return _pack(prefixes, levels)
+
+    checking("_prefix_tree", searched)
+    checking("_merged_tree", merged)
+    monkeypatch.setattr(enumeration, "_pack", packing)
     assert sum(1 for _ in enumerate_graphs(EnumerationTask(8))) == 12346
-    assert packed == {j: count_classes(j) for j in range(1, 8)}
+    assert searched + merged == packed == {j: count_classes(j) for j in range(1, 8)}
+    assert sum(merged.values()) == 901
+
+
+def test_trees_at_the_deepest_order_match_the_bit_loop():
+    # a walk to ENUMERATION_MAX_N = 11 builds trees up to order 10.
+    # Along K1, ..., K10 each new vertex is a twin of every parent
+    # vertex, so each tree is merged from its parent's; K10 minus an
+    # edge, a child of K9 that splits its one twin class, searches for
+    # its tree.  Each tree sets the bit loop's bits, equals its searched
+    # tree up to order, and decides the canonicity of each of its
+    # children of order 11 as a fresh search does
+    top = ENUMERATION_MAX_N - 1
+    g = complete_graph(1)
+    twins = [1]
+    tree = _prefix_tree(g.adj, twins)
+    _assert_packed_as_the_bit_loop(g.adj, tree)
+    for n in range(1, top):
+        children = {child.adj[-1]: (child, child_twins, own)
+                    for child, child_twins, own in _children(g, twins, tree, grow=True)}
+        if n == top - 1:
+            split, split_twins, own = children[(1 << n - 1) - 1]
+            assert own is None
+            split_tree = _prefix_tree(split.adj, split_twins, tree)
+            _assert_packed_as_the_bit_loop(split.adj, split_tree)
+        child, twins, own = children[(1 << n) - 1]
+        assert child.adj == complete_graph(n + 1).adj
+        merged = _merged_tree(child.adj, tree, own)
+        _assert_packed_as_the_bit_loop(child.adj, merged)
+        assert _fields_by_prefix(merged) == _fields_by_prefix(_prefix_tree(child.adj, twins))
+        g, tree = child, merged
+    for parent, parent_twins, parent_tree in ((g, twins, tree),
+                                              (split, split_twins, split_tree)):
+        assert parent.n == top
+        kept = {child.adj[-1] for child, _, _ in _children(parent, parent_twins, parent_tree)}
+        for s, rows in _extensions(parent):
+            canonical = _greater_order(rows, top + 1, _twins(rows, top + 1), [()]) is None
+            assert (s in kept) == canonical, (graph6_encode(parent), s)
+        assert kept
 
 
 def test_shards_build_trees_only_for_the_classes_they_extend(monkeypatch):
