@@ -9,6 +9,9 @@ together with a uniqueness margin.  The certified claim: for k >= 2 and
 n >= 3k^2 - k - 2 the complete split graph is the unique maximiser;
 below that threshold the certificate still reports the winner but flags
 itself as outside the regime where uniqueness is asserted.
+
+Only the scan computes with numpy, and it imports numpy in its own body,
+so that ``turan`` and ``construct`` run without loading it.
 """
 
 from __future__ import annotations
@@ -21,8 +24,6 @@ import time
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, TextIO
-
-import numpy as np
 
 from .enumeration import (EnumerationTask, canonical_form, count_classes,
                           enumerate_graphs)
@@ -183,6 +184,8 @@ def _scan(graphs: Iterable[Graph]) -> tuple[list[tuple[float, str]], int]:
     graph.  A scan of more than one block logs progress at most every
     PROGRESS_EVERY_S seconds.
     """
+    import numpy as np
+
     held: list[tuple[float, Graph]] = []
     top: list[float] = []  # the five largest q1 values so far, descending
     floor = -math.inf

@@ -11,6 +11,10 @@ only entries the pivot block overwrites, so they need no store, and the
 diagonal is written back before each sweep's norm.
 ``rayleigh_power_lambda1`` provides an algorithmically independent
 cross-check of the dominant eigenvalue for tests.
+
+Each function that computes with numpy imports it in its own body, so
+that importing the package and running the integer commands never load
+numpy; once loaded, each such import is a cached lookup.
 """
 
 from __future__ import annotations
@@ -18,11 +22,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .graphs import Graph, bits, induced_subgraph, second_neighborhood
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Jacobi sweeps stop once the off-diagonal Frobenius norm drops below
 # JACOBI_OFF_FACTOR * order; exceeding the sweep budget on symmetric
@@ -48,6 +53,7 @@ class SymMatrix:
     entries: np.ndarray
 
     def __init__(self, entries) -> None:
+        import numpy as np
         arr = np.array(entries, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("matrix must be square")
@@ -65,6 +71,7 @@ class SymMatrix:
         return self.entries.shape[0]
 
     def is_integer_valued(self) -> bool:
+        import numpy as np
         return bool(np.array_equal(self.entries, np.round(self.entries)))
 
 
@@ -125,6 +132,7 @@ def _offdiag_norm(a: np.ndarray) -> float:
     Subtracting the diagonal squares from the full sum instead would
     cancel catastrophically and leave a floor far above the Jacobi target.
     """
+    import numpy as np
     sq = a * a
     np.fill_diagonal(sq, 0.0)
     return math.sqrt(float(np.sum(sq)))
@@ -149,6 +157,7 @@ def _jacobi(a: np.ndarray, off_target: float, max_sweeps: int):
     ``a`` once per pass, from the buffer, so the entry ``rq[p]`` that row
     q carries back is dead and is never stored.
     """
+    import numpy as np
     n = a.shape[0]
     rows, cols = list(a), list(a.T)
     d = a.diagonal().tolist()
@@ -213,6 +222,7 @@ def spectrum(m: SymMatrix, *, _off_factor: float = JACOBI_OFF_FACTOR) -> Spectru
     private ``_off_factor`` lets the certification tie re-check demand a
     tighter target.
     """
+    import numpy as np
     a = np.array(m.entries, dtype=np.float64)
     n = a.shape[0]
     off_target = _off_factor * n
@@ -235,6 +245,7 @@ def rayleigh_power_lambda1(m: SymMatrix, tol: float = 1e-10,
     RuntimeError if the residual is still above ``tol`` after
     ``max_iter`` iterations.
     """
+    import numpy as np
     a = m.entries
     n = m.order
     x = np.ones(n) / math.sqrt(n)
@@ -260,6 +271,7 @@ def rayleigh_power_lambda1(m: SymMatrix, tol: float = 1e-10,
 
 def signless_laplacian(g: Graph) -> SymMatrix:
     """Degree-diagonal plus adjacency matrix; integer-valued and PSD."""
+    import numpy as np
     adj, deg = _adjacency_bits([g])
     arr = adj[0].astype(np.float64)
     np.fill_diagonal(arr, deg[0])
@@ -328,6 +340,7 @@ def _adjacency_bits(graphs: Sequence[Graph]) -> tuple[np.ndarray, np.ndarray]:
     bit, and the degrees are their sums, at most 63.  The bound kernels
     below take this pair.
     """
+    import numpy as np
     n = graphs[0].n
     rows = np.fromiter(itertools.chain.from_iterable(g.adj for g in graphs), dtype="<u8",
                        count=len(graphs) * n)
@@ -349,6 +362,7 @@ def _vertex_bounds(adj: np.ndarray, deg: np.ndarray) -> np.ndarray:
     formula.  A fixed number of numpy calls serves one graph as well as
     a block of thousands.
     """
+    import numpy as np
     bound = np.einsum("gvu,gu->gv", adj, deg, dtype=np.uint16) / np.maximum(deg, 1)
     bound += deg
     return bound
@@ -365,6 +379,8 @@ def _power_bounds(adj: np.ndarray, deg: np.ndarray) -> np.ndarray:
     from one step to the next, and step 0 is ``_vertex_bounds``' maximum
     up to rounding.
     """
+    import numpy as np
+
     def step(x: np.ndarray) -> np.ndarray:
         return np.einsum("gvu,gu->gv", adj, x, dtype=np.int64) + deg * x
 
@@ -383,6 +399,7 @@ def quotient(m: SymMatrix, p: VertexPartition) -> QuotientMatrix:
     Laplacian, the row sums are exact integers while they stay below
     2**53, so their spread is 0 or at least 1 and the test is exact.
     """
+    import numpy as np
     if p.order != m.order:
         raise ValueError("partition does not match matrix order")
     k = len(p.blocks)
@@ -405,6 +422,7 @@ def quotient_eigenvalues(q: QuotientMatrix) -> tuple[float, ...]:
     symmetric matrix (conjugate by sqrt of block sizes), so its spectrum
     is real and can be computed with the same Jacobi solver.
     """
+    import numpy as np
     sizes = np.sqrt(np.array(q.block_sizes, dtype=np.float64))
     sym = q.b * sizes[:, None] / sizes[None, :]
     sym = (sym + sym.T) / 2.0  # kill roundoff asymmetry
@@ -429,6 +447,7 @@ def perron_dominance(m1: SymMatrix, m2: SymMatrix) -> bool:
     returns the comparison within ``EIGEN_ACCURACY``.  Precondition
     violations report the offending entry.
     """
+    import numpy as np
     if m1.order != m2.order:
         raise ValueError("matrix orders differ")
     for name, m in (("m1", m1), ("m2", m2)):

@@ -415,15 +415,54 @@ def test_readme_command_lines_parse():
             assert getattr(args, name) is not None, argv
 
 
-def test_module_entry_point_runs():
-    # Point the child at the package this suite imported, wherever it runs.
+def _child_env() -> dict:
+    """Environment that points a child interpreter at the package this
+    suite imported, wherever it runs."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(fanfree.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run([sys.executable, "-m", "fanfree", "q1"],
-                          input="Bw\n", capture_output=True, text=True, env=env)
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_module_entry_point_runs():
+    proc = subprocess.run([sys.executable, "-m", "fanfree", "q1"], input="Bw\n",
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert proc.stdout == "Bw\t3\t3\t4\n"
+
+
+def test_integer_commands_run_without_numpy(tmp_path):
+    # A fresh interpreter, so no earlier import in this suite loads numpy.
+    graphs = tmp_path / "in.g6"
+    graphs.write_text("Bw\n")
+    out = str(tmp_path / "out")
+    script = f"""
+import sys
+import fanfree
+import fanfree.cli
+runs = [["enumerate", "--n", "5"],
+        ["fan-free", "--k", "2", "-i", {str(graphs)!r}],
+        ["turan", "--n", "6", "--pattern", "fan", "--k", "2"],
+        ["construct", "--n", "9", "--k", "2"]]
+for argv in runs:
+    assert fanfree.cli.main(argv + ["-o", {out!r}]) == 0, argv
+    assert "numpy" not in sys.modules, argv
+assert fanfree.cli.main(["q1", "-i", {str(graphs)!r}, "-o", {out!r}]) == 0
+assert "numpy" in sys.modules
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out").read_text() == "Bw\t3\t3\t4\n"
+
+
+def test_cli_binds_the_names_the_benchmark_reads():
+    # The benchmark's stream pass reads these from fanfree.cli, so they
+    # must stay module-level imports, not imports inside command bodies.
+    from fanfree import enumeration, fans, graphs, spectral
+    for module, name in [(spectral, "q1"), (spectral, "merris_bound"),
+                         (fans, "contains_fan"), (enumeration, "canonical_form"),
+                         (graphs, "graph6_encode")]:
+        assert getattr(fanfree.cli, name) is getattr(module, name)
 
 
 @pytest.mark.skipif(shutil.which("fanfree") is None,
