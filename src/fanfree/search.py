@@ -3,8 +3,8 @@ closed-form extremal constructions with self-checked builders.
 
 The flagship routine builds the fan-free isomorphism classes of a given
 order, pruning every class that contains a fan together with all its
-extensions, eigensolves those whose degree and power bounds do not rule
-them out of the top values, and certifies the spectral-radius maximiser
+extensions, eigensolves those whose power bounds do not rule them out
+of the top values, and certifies the spectral-radius maximiser
 together with a uniqueness margin.  The certified claim: for k >= 2 and
 n >= 3k^2 - k - 2 the complete split graph is the unique maximiser;
 below that threshold the certificate still reports the winner but flags
@@ -31,8 +31,8 @@ from .fans import _extension_fan_free, is_fan_free
 from .graphs import (Graph, circulant_graph, complete_graph, disjoint_union,
                      empty_graph, graph6_decode, join, split_parameter)
 from .matching import ForbiddenPattern, Regime, TuranRecord, is_kk2_free, turan_kk2
-from .spectral import (EIGEN_ACCURACY, _adjacency_bits, _power_bounds, _vertex_bounds,
-                       q1, rayleigh_power_lambda1, signless_laplacian, spectrum)
+from .spectral import (EIGEN_ACCURACY, _adjacency_bits, _power_bounds, q1,
+                       rayleigh_power_lambda1, signless_laplacian, spectrum)
 
 logger = logging.getLogger("fanfree")
 
@@ -171,18 +171,14 @@ def _scan(graphs: Iterable[Graph]) -> tuple[list[tuple[float, str]], int]:
     Let floor be -inf until five graphs are solved, then the smaller of
     the fifth-best q1 and the best q1 minus MARGIN: ``_trim`` drops every
     entry below it, and it never falls.  The graphs come in blocks of
-    SCAN_BLOCK, each taken in descending order of its degree bounds
-    (``_vertex_bounds``).  A block ends at the first bound below floor,
-    and a graph before that is skipped when its power bound
-    (``_power_bounds``) is below floor, both with the eigensolver's
-    accuracy as slack; the rest are eigensolved.  Each kernel runs once
-    per block, the power bounds only on the graphs whose degree bound
-    reaches the floor, once the scan's first five solves have set it.
-    After each block only the solved graphs at or above floor are held.
-    Every graph dropped has a q1 below a floor no higher than the final
-    one, so the result equals that of a scan that eigensolves every
-    graph.  A scan of more than one block logs progress at most every
-    PROGRESS_EVERY_S seconds.
+    SCAN_BLOCK, each taken in descending order of its power bounds
+    (``_power_bounds``, one call per block) and eigensolved up to the
+    first graph whose bound plus the eigensolver's accuracy is below
+    floor.  After each block only the solved graphs at or above floor
+    are held.  Every graph skipped has a q1 below a floor no higher than
+    the final one, so the result equals that of a scan that eigensolves
+    every graph.  A scan of more than one block logs progress at most
+    every PROGRESS_EVERY_S seconds.
     """
     import numpy as np
 
@@ -192,32 +188,18 @@ def _scan(graphs: Iterable[Graph]) -> tuple[list[tuple[float, str]], int]:
     scanned = solves = 0
     graphs = iter(graphs)
     reported = time.monotonic()
-
-    def solve(g: Graph) -> None:
-        nonlocal top, floor, solves
-        value = q1(g)
-        solves += 1
-        held.append((value, g))
-        top = sorted(top + [value], reverse=True)[:5]
-        if len(top) == 5:
-            floor = min(top[4], top[0] - MARGIN)
-
     while block := list(itertools.islice(graphs, SCAN_BLOCK)):
-        adj, deg = _adjacency_bits(block)
-        bounds = _vertex_bounds(adj, deg).max(axis=1)
+        bounds = _power_bounds(*_adjacency_bits(block))
         order = np.argsort(-bounds, kind="stable")
-        first = order[:5 - len(top)].tolist()  # the scan's first five set the floor
-        for i in first:
-            solve(block[i])
-        # graphs below the floor now stay below it: neither checked nor solved
-        rest = order[len(first):]
-        rest = rest[bounds[rest] + EIGEN_ACCURACY >= floor]
-        power = _power_bounds(adj[rest], deg[rest])
-        for i, bound, check in zip(rest.tolist(), bounds[rest].tolist(), power.tolist()):
+        for i, bound in zip(order.tolist(), bounds[order].tolist()):
             if bound + EIGEN_ACCURACY < floor:
                 break
-            if check + EIGEN_ACCURACY >= floor:
-                solve(block[i])
+            value = q1(block[i])
+            solves += 1
+            held.append((value, block[i]))
+            top = sorted(top + [value], reverse=True)[:5]
+            if len(top) == 5:
+                floor = min(top[4], top[0] - MARGIN)
         held = [e for e in held if e[0] >= floor]
         scanned += len(block)
         if scanned > len(block) and time.monotonic() - reported >= PROGRESS_EVERY_S:

@@ -42,7 +42,8 @@ EIGEN_ACCURACY = 1e-9
 EQUITABLE_SLACK = 1e-12
 # Power steps behind ``_power_bounds``.  Its vectors hold integers below
 # 126**(POWER_STEPS + 1) * 63 < 2**53 at every order up to 64, so each
-# int64 product and sum is exact, and so is its float64 conversion.
+# float64 product and partial sum is an exact integer, in any order of
+# summation.
 POWER_STEPS = 5
 
 
@@ -322,7 +323,12 @@ def merris_bound(g: Graph) -> tuple[float, int]:
     bipartite graphs.  Isolated vertices are rejected (the average is
     undefined).
     """
-    bounds = _vertex_bounds(*_adjacency_bits([g]))[0].tolist()
+    import numpy as np
+    (adj,), (deg,) = _adjacency_bits([g])
+    # neighbour-degree sums, at most 63 * 63, are exact in uint16; then a
+    # correctly rounded quotient and one rounded sum, as in the formula
+    bounds = (np.einsum("vu,u->v", adj, deg, dtype=np.uint16) / np.maximum(deg, 1)
+              + deg).tolist()
     # a vertex with a neighbour has a bound of at least 2
     if 0.0 in bounds:
         raise ValueError(f"vertex {bounds.index(0.0)} is isolated; bound undefined")
@@ -337,8 +343,8 @@ def _adjacency_bits(graphs: Sequence[Graph]) -> tuple[np.ndarray, np.ndarray]:
 
     The rows, read in one pass over the graphs' adjacency tuples, are
     unpacked from uint64 (a graph of order 64 sets bit 63), one byte per
-    bit, and the degrees are their sums, at most 63.  The bound kernels
-    below take this pair.
+    bit, and the degrees are their sums, at most 63.  ``_power_bounds``
+    takes this pair.
     """
     import numpy as np
     n = graphs[0].n
@@ -349,42 +355,26 @@ def _adjacency_bits(graphs: Sequence[Graph]) -> tuple[np.ndarray, np.ndarray]:
     return adj, adj.sum(axis=-1, dtype=np.uint8)
 
 
-def _vertex_bounds(adj: np.ndarray, deg: np.ndarray) -> np.ndarray:
-    """Per graph and vertex, ``d_v + (sum of neighbour degrees)/d_v``, and 0
-    at an isolated vertex, from ``_adjacency_bits``.
-
-    This is the Collatz-Wielandt ratio (Qx)_v/x_v of Q = D + A at the
-    degree vector x = d (Wielandt 1950), so the largest value over the
-    non-isolated vertices bounds q1 from above; isolated vertices add
-    only zero eigenvalues.  The neighbour-degree sums, at most 63 * 63,
-    are exact in uint16, and the bound is ``d + S/d`` in float64:
-    correctly rounded quotient, then one rounded sum, as in the scalar
-    formula.  A fixed number of numpy calls serves one graph as well as
-    a block of thousands.
-    """
-    import numpy as np
-    bound = np.einsum("gvu,gu->gv", adj, deg, dtype=np.uint16) / np.maximum(deg, 1)
-    bound += deg
-    return bound
-
-
 def _power_bounds(adj: np.ndarray, deg: np.ndarray) -> np.ndarray:
     """Per graph, the Collatz-Wielandt bound on q1 after POWER_STEPS
     power steps, from ``_adjacency_bits``.
 
-    Starting from the degree vector, x <- Qx is iterated exactly in int64
-    (see POWER_STEPS).  The bound is the largest ratio (Qx)_v/x_v over
-    the non-isolated vertices, the only ones where x stays positive, and
-    0 for an edgeless graph.  For nonnegative Q the bound never rises
-    from one step to the next, and step 0 is ``_vertex_bounds``' maximum
-    up to rounding.
+    Starting from the degree vector, x <- Qx is iterated exactly in
+    float64 (see POWER_STEPS) on the uint8 ``adj``, which is never copied
+    to float64: at order 64 a block's copy would be eight times its size.
+    The bound is the largest ratio (Qx)_v/x_v of Q = D + A over the
+    non-isolated vertices, the only ones where x stays positive, and 0
+    for an edgeless graph; isolated vertices add only zero eigenvalues
+    (Wielandt 1950).  For nonnegative Q the bound never rises from one
+    step to the next, and step 0 is ``merris_bound``'s value up to
+    rounding.
     """
     import numpy as np
 
     def step(x: np.ndarray) -> np.ndarray:
-        return np.einsum("gvu,gu->gv", adj, x, dtype=np.int64) + deg * x
+        return np.einsum("gvu,gu->gv", adj, x) + deg * x
 
-    x = deg.astype(np.int64)
+    x = deg.astype(np.float64)
     for _ in range(POWER_STEPS):
         x = step(x)
     # an isolated vertex has x = Qx = 0, so its ratio is 0

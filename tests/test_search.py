@@ -174,7 +174,6 @@ def _full_scan(graphs, monkeypatch):
     calls = []
     solve = search.q1
     with monkeypatch.context() as m:
-        m.setattr(search, "_vertex_bounds", lambda adj, deg: np.full(deg.shape, math.inf))
         m.setattr(search, "_power_bounds", lambda adj, deg: np.full(len(deg), math.inf))
         m.setattr(search, "q1", lambda g: calls.append(g) or solve(g))
         return search._scan(graphs), len(calls)
@@ -199,12 +198,11 @@ def test_scan_stop_rule_allows_eigensolver_error(monkeypatch):
     # every graph of order 8 is 4-fan-free.  First come the four graphs
     # of order 8 with at least 26 edges: K8 and its complements of one
     # edge, of a path P3 and of two disjoint edges.  Then two cubic
-    # graphs, both of degree bound exactly 6, whose q1 the eigensolver
-    # returns a few ulps above 6, the second one higher.  After five
-    # solves the floor is the first cubic q1, above the second's bound:
-    # only the EIGEN_ACCURACY slack lets the scan solve the second and
-    # keep it as fifth.  A regular graph's power bound is its degree
-    # bound, so the slack must hold for both.
+    # graphs, both of power bound exactly 6 (every ratio of a regular
+    # graph is 2d), whose q1 the eigensolver returns a few ulps above 6,
+    # the second one higher.  After five solves the floor is the first
+    # cubic q1, above the second's bound: only the EIGEN_ACCURACY slack
+    # lets the scan solve the second and keep it as fifth.
     k8_minus = complete_graph(8).without_edge(0, 1)
     dense = [complete_graph(8), k8_minus, k8_minus.without_edge(1, 2),
              k8_minus.without_edge(2, 3)]
@@ -216,6 +214,36 @@ def test_scan_stop_rule_allows_eigensolver_error(monkeypatch):
     assert solves == len(graphs)
     assert pruned == full
     assert full[0][4][1] == canonical_form(cubic[1]).text
+
+
+@pytest.mark.parametrize("n,k,solves", [(8, 2, 5), (8, 3, 16), (8, 4, 21), (9, 2, 18)])
+def test_scan_solves_by_power_bound_down_to_floor(monkeypatch, n, k, solves):
+    # each block is eigensolved in non-increasing power bound order, and
+    # a graph only while its bound plus EIGEN_ACCURACY reaches the floor
+    # then in force; the solve counts pin that rule
+    blocks = [[]]
+    power_bounds, solve = search._power_bounds, search.q1
+
+    def solve_in_block(g):
+        value = solve(g)
+        blocks[-1].append((g, value))
+        return value
+
+    monkeypatch.setattr(search, "_power_bounds",
+                        lambda adj, deg: blocks.append([]) or power_bounds(adj, deg))
+    monkeypatch.setattr(search, "q1", solve_in_block)
+    certify_max_q1(n, k)
+    assert blocks[0] == []  # nothing is solved before a block is bounded
+    values = []
+    for block in blocks[1:]:
+        bounds = [power_bounds(*search._adjacency_bits([g]))[0] for g, _ in block]
+        assert bounds == sorted(bounds, reverse=True)
+        for bound, (_, value) in zip(bounds, block):
+            top = sorted(values, reverse=True)[:5]
+            floor = min(top[4], top[0] - MARGIN) if len(top) == 5 else -math.inf
+            assert bound + EIGEN_ACCURACY >= floor
+            values.append(value)
+    assert len(values) == solves
 
 
 def test_scan_progress_only_past_one_block(classes_7_8, monkeypatch, caplog):

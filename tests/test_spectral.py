@@ -18,7 +18,6 @@ from fanfree.spectral import (EIGEN_ACCURACY, JACOBI_OFF_FACTOR,
                               JACOBI_SWEEP_BUDGET, QuotientMatrix,
                               POWER_STEPS, SpectrumResult, SymMatrix,
                               VertexPartition, _adjacency_bits, _power_bounds,
-                              _vertex_bounds,
                               eq1_identity, merris_bound, perron_dominance, q1,
                               q1_split_closed_form, q1_split_lower_bound,
                               quotient, quotient_eigenvalues,
@@ -215,7 +214,7 @@ def test_degree_bound_covers_every_small_class(monkeypatch):
         graphs = list(enumerate_graphs(EnumerationTask(n)))
         values = [q1(g) for g in graphs]
         adj, deg = _adjacency_bits(graphs)
-        degree = _vertex_bounds(adj, deg).max(axis=1).tolist()
+        degree = [max(b or 0.0 for b in reference_vertex_bounds(g)) for g in graphs]
         steps = []
         for s in range(POWER_STEPS + 1):
             monkeypatch.setattr(spectral, "POWER_STEPS", s)
@@ -231,7 +230,7 @@ def test_degree_bound_covers_every_small_class(monkeypatch):
     for g, bound in [(empty_graph(4), 0.0),
                      (disjoint_union(empty_graph(1), complete_graph(3)), 4.0)]:
         adj, deg = _adjacency_bits([g])
-        assert _vertex_bounds(adj, deg).max() == bound
+        assert max(b or 0.0 for b in reference_vertex_bounds(g)) == bound
         assert _power_bounds(adj, deg).tolist() == [bound]
         assert abs(q1(g) - bound) < 1e-9
 
@@ -241,23 +240,12 @@ def _random_graphs():
     return [random_graph(rng, n, rng.random()) for n in range(1, 65) for _ in range(3)]
 
 
-def test_vertex_bounds_match_scalar_loop():
-    # the batched kernel returns the scalar loop's bits, 0 at isolated
-    # vertices: every class up to order 8, and random graphs up to order
-    # 64, where vertex 63 sets bit 63 of its neighbours' rows
-    random_graphs = _random_graphs()
-    for n in range(1, 65):
-        graphs = (list(enumerate_graphs(EnumerationTask(n))) if n <= 8 else
-                  [g for g in random_graphs if g.n == n])
-        expect = [[b or 0.0 for b in reference_vertex_bounds(g)] for g in graphs]
-        assert _vertex_bounds(*_adjacency_bits(graphs)).tolist() == expect, n
-
-
 def test_power_bounds_match_one_graph_float_loop():
-    # the int64 batch returns the bits of a float64 power iteration on one
-    # graph at a time: every class up to order 7, and random graphs up to
-    # order 64, where the last step's entries come near 2**53
-    random_graphs = _random_graphs()
+    # the batch returns the bits of a float64 power iteration on one graph
+    # at a time: every class up to order 7, and random graphs up to order
+    # 64 with K64, whose last step reaches 63 * 126**6, the largest entry
+    # at any order
+    random_graphs = _random_graphs() + [complete_graph(64)]
     for n in range(1, 65):
         graphs = (list(enumerate_graphs(EnumerationTask(n))) if n <= 7 else
                   [g for g in random_graphs if g.n == n])
@@ -266,9 +254,12 @@ def test_power_bounds_match_one_graph_float_loop():
 
 
 def test_merris_bound_matches_scalar_loop():
-    # value, smallest argmax and the isolated-vertex error as before
-    graphs = _random_graphs() + [make_split(8, 2), cycle_graph(5),
-                                 disjoint_union(complete_graph(3), empty_graph(2))]
+    # value, smallest argmax and the isolated-vertex error as before: every
+    # class up to order 8 with no isolated vertex, and random graphs up to
+    # order 64, where vertex 63 sets bit 63 of its neighbours' rows
+    graphs = [g for n in range(2, 9) for g in enumerate_graphs(EnumerationTask(n)) if all(g.adj)]
+    graphs += _random_graphs() + [make_split(8, 2), cycle_graph(5),
+                                  disjoint_union(complete_graph(3), empty_graph(2))]
     for g in graphs:
         try:
             expect = reference_merris_bound(g)
