@@ -253,13 +253,28 @@ def test_power_bounds_match_one_graph_float_loop():
         assert _power_bounds(*_adjacency_bits(graphs)).tolist() == expect, n
 
 
+def test_vertex_bounds_match_scalar_loop():
+    # merris_bound's per-vertex degree bounds have the scalar loop's bits:
+    # every class up to order 8, and random graphs up to order 64, where
+    # vertex 63 sets bit 63 of its neighbours' rows
+    random_graphs = _random_graphs()
+    for n in range(1, 65):
+        graphs = (list(enumerate_graphs(EnumerationTask(n))) if n <= 8 else
+                  [g for g in random_graphs if g.n == n])
+        for g in graphs:
+            expect = reference_vertex_bounds(g)
+            if None in expect:
+                with pytest.raises(ValueError, match=f"^vertex {expect.index(None)} is isolated"):
+                    merris_bound(g)
+                continue
+            best = max(expect)
+            assert merris_bound(g) == (best, expect.index(best)), graph6_encode(g)
+
+
 def test_merris_bound_matches_scalar_loop():
-    # value, smallest argmax and the isolated-vertex error as before: every
-    # class up to order 8 with no isolated vertex, and random graphs up to
-    # order 64, where vertex 63 sets bit 63 of its neighbours' rows
-    graphs = [g for n in range(2, 9) for g in enumerate_graphs(EnumerationTask(n)) if all(g.adj)]
-    graphs += _random_graphs() + [make_split(8, 2), cycle_graph(5),
-                                  disjoint_union(complete_graph(3), empty_graph(2))]
+    # value, smallest argmax and the isolated-vertex error as before
+    graphs = _random_graphs() + [make_split(8, 2), cycle_graph(5),
+                                 disjoint_union(complete_graph(3), empty_graph(2))]
     for g in graphs:
         try:
             expect = reference_merris_bound(g)
