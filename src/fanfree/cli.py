@@ -24,9 +24,8 @@ from .enumeration import (EnumerationTask, canonical_form, enumerate_graphs,
 from .fans import contains_fan
 from .graphs import Graph, graph6_encode, split_parameter
 from .matching import ForbiddenPattern
-from .search import (_sig15, certify_max_q1, certificate_payload,
-                     efgg_construction, efgg_in_regime, efgg_value,
-                     turan_bruteforce)
+from .search import (_defined, _sig15, certify_max_q1, certificate_payload,
+                     efgg_construction, turan_bruteforce)
 from .spectral import (merris_bound, q1, q1_split_closed_form,
                        q1_split_lower_bound)
 
@@ -161,37 +160,24 @@ def _cmd_enumerate(args) -> int:
 def _cmd_turan(args) -> int:
     pattern = ForbiddenPattern(args.pattern, args.k)
     source = None if args.input is None else _read_graphs(args.input, args.fail_fast)
-    record = turan_bruteforce(args.n, pattern, source)
-    payload = certificate_payload(record)
-    if pattern.kind == "kk2":
-        # the brute force sets a regime only where it matched the formula
-        payload["formula_value"] = None if record.regime is None else record.max_edges
-    else:
-        payload["formula_value"] = efgg_value(args.n, args.k)
-        payload["formula_guaranteed"] = efgg_in_regime(args.n, args.k)
-    _write(args, payload)
+    _write(args, certificate_payload(turan_bruteforce(args.n, pattern, source)))
     return EXIT_OK
 
 
 def _cmd_bounds(args) -> int:
     rows = []
     for g in _read_graphs(args.input, args.fail_fast):
-        # the degree bound averages over neighbours, so it is undefined
-        # when some vertex has none
-        merris = vertex = None
-        if all(g.adj):
-            bound, vertex = merris_bound(g)
-            merris = _sig15(bound)
+        merris, vertex = _defined(merris_bound, g) or (None, None)
         k = split_parameter(g)
         closed = lower = None
         if k is not None:
-            closed = _sig15(q1_split_closed_form(g.n, k))
-            if g.n >= 2 * k * k - 4 * k + 3:
-                lower = _sig15(q1_split_lower_bound(g.n, k))
+            closed = q1_split_closed_form(g.n, k)
+            lower = _defined(q1_split_lower_bound, g.n, k)
         rows.append({"graph6": graph6_encode(g), "n": g.n, "e": g.edge_count(),
-                     "q1": _sig15(q1(g)), "merris": merris,
+                     "q1": _sig15(q1(g)), "merris": _sig15(merris),
                      "merris_vertex": vertex, "split_k": k,
-                     "split_closed_form": closed, "split_lower_bound": lower})
+                     "split_closed_form": _sig15(closed),
+                     "split_lower_bound": _sig15(lower)})
     _write(args, rows)
     return EXIT_OK
 

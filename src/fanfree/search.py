@@ -30,7 +30,7 @@ from .enumeration import (EnumerationTask, canonical_form, count_classes,
 from .fans import _extension_fan_free, is_fan_free
 from .graphs import (Graph, circulant_graph, complete_graph, disjoint_union,
                      empty_graph, graph6_decode, join, split_parameter)
-from .matching import ForbiddenPattern, Regime, TuranRecord, is_kk2_free, turan_kk2
+from .matching import ForbiddenPattern, TuranRecord, is_kk2_free, turan_kk2
 from .spectral import (EIGEN_ACCURACY, _adjacency_bits, _power_bounds, q1,
                        rayleigh_power_lambda1, signless_laplacian, spectrum)
 
@@ -117,6 +117,15 @@ class ConstructionSpec:
 def theorem_regime(n: int, k: int) -> bool:
     """Whether (n, k) meets k >= 2 and n >= 3k^2 - k - 2."""
     return k >= 2 and n >= 3 * k * k - k - 2
+
+
+def _defined(f, *args):
+    """``f(*args)``, or None where ``f`` rejects its arguments with
+    ValueError, so that only ``f`` states where it is defined."""
+    try:
+        return f(*args)
+    except ValueError:
+        return None
 
 
 # -- scan --------------------------------------------------------------
@@ -303,8 +312,8 @@ def turan_bruteforce(n: int, pattern: ForbiddenPattern,
 
     ``source`` may be an iterable of graphs of order ``n``, or None for
     every pattern-free class of that order (see ``_pattern_free``).
-    For kK2 patterns the result carries the clique/split regime from the
-    closed formula; fan patterns have no such trichotomy and get None.
+    For kK2 patterns in ``turan_kk2``'s range the result carries the
+    regime of that formula; fan patterns have no such trichotomy.
     """
     best = -1
     extremal: list[str] = []
@@ -317,12 +326,11 @@ def turan_bruteforce(n: int, pattern: ForbiddenPattern,
             extremal = []
         extremal.append(canonical_form(g).text)
 
-    regime: Regime | None = None
-    if pattern.kind == "kk2" and pattern.k >= 2 and n >= 2 * pattern.k - 1:
-        value, regime = turan_kk2(n, pattern.k)
-        if value != best:
-            raise RuntimeError(
-                f"closed formula {value} disagrees with brute force {best}")
+    # fans, and kK2 outside turan_kk2's range, have no formula to check
+    formula = _defined(turan_kk2, n, pattern.k) if pattern.kind == "kk2" else None
+    value, regime = formula or (best, None)
+    if value != best:
+        raise RuntimeError(f"closed formula {value} disagrees with brute force {best}")
     return TuranRecord(n=n, pattern=pattern, max_edges=best,
                        extremal=tuple(sorted(extremal)), regime=regime)
 
@@ -401,8 +409,8 @@ def efgg_construction(n: int, k: int) -> tuple[Graph, ConstructionSpec]:
 # -- certificate emission ----------------------------------------------
 
 
-def _sig15(x: float) -> float:
-    return float(f"{x:.15g}")
+def _sig15(x: float | None) -> float | None:
+    return None if x is None else float(f"{x:.15g}")
 
 
 def _certificate_payload(cert: SearchCertificate) -> dict:
@@ -413,8 +421,8 @@ def _certificate_payload(cert: SearchCertificate) -> dict:
         "winner_q1": _sig15(cert.winner_q1),
         "winner_is_split": cert.winner_is_split,
         "unique": cert.unique,
-        "runner_up_q1": None if cert.runner_up_q1 is None else _sig15(cert.runner_up_q1),
-        "margin": None if cert.margin is None else _sig15(cert.margin),
+        "runner_up_q1": _sig15(cert.runner_up_q1),
+        "margin": _sig15(cert.margin),
         "near_maximal": [
             {"graph6": text, "q1": _sig15(value)}
             for text, value in cert.near_maximal
@@ -432,14 +440,20 @@ def _certificate_payload(cert: SearchCertificate) -> dict:
 
 
 def _turan_payload(record: TuranRecord) -> dict:
-    return {
-        "n": record.n,
+    n, k = record.n, record.pattern.k
+    payload = {
+        "n": n,
         "pattern": record.pattern.label(),
-        "k": record.pattern.k,
+        "k": k,
         "max_edges": record.max_edges,
         "extremal": list(record.extremal),
         "regime": None if record.regime is None else record.regime.value,
     }
+    if record.pattern.kind == "fan":
+        return payload | {"formula_value": efgg_value(n, k),
+                          "formula_guaranteed": efgg_in_regime(n, k)}
+    # turan_bruteforce sets a regime only where the formula matched it
+    return payload | {"formula_value": None if record.regime is None else record.max_edges}
 
 
 def certificate_payload(cert: SearchCertificate | TuranRecord) -> dict:

@@ -30,10 +30,11 @@ if TYPE_CHECKING:
     import numpy as np
 
 # Jacobi sweeps stop once the off-diagonal Frobenius norm drops below
-# JACOBI_OFF_FACTOR * order; exceeding the sweep budget on symmetric
-# input is an internal error, not a user-facing condition.
+# JACOBI_OFF_FACTOR * order.  Clustered eigenvalues can take over a
+# hundred sweeps (109 on one labelling of an order-31 efgg graph), so the
+# budget only ends a run that has stopped converging, with an error.
 JACOBI_OFF_FACTOR = 1e-12
-JACOBI_SWEEP_BUDGET = 100
+JACOBI_SWEEP_BUDGET = 1000
 # Absolute accuracy demanded of a returned eigenvalue: the slack of
 # eigenvalue comparisons and of the certificate's bound pruning and
 # independent cross-check of the winner.
@@ -217,11 +218,10 @@ def _jacobi(a: np.ndarray, off_target: float, max_sweeps: int):
 def spectrum(m: SymMatrix, *, _off_factor: float = JACOBI_OFF_FACTOR) -> SpectrumResult:
     """All eigenvalues of a symmetric matrix, non-increasing, via cyclic Jacobi.
 
-    Deterministic for identical input.  Convergence below
-    ``JACOBI_OFF_FACTOR * order`` within the sweep budget is guaranteed
-    for symmetric input; failure to converge is an internal error.  The
-    private ``_off_factor`` lets the certification tie re-check demand a
-    tighter target.
+    Deterministic for identical input.  A run still above
+    ``JACOBI_OFF_FACTOR * order`` after the sweep budget raises
+    RuntimeError with its residual.  The private ``_off_factor`` lets
+    the certification tie re-check demand a tighter target.
     """
     import numpy as np
     a = np.array(m.entries, dtype=np.float64)

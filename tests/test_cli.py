@@ -14,8 +14,11 @@ import fanfree
 import fanfree.cli
 from fanfree.cli import main
 from fanfree.enumeration import EnumerationTask, enumerate_graphs
-from fanfree.graphs import graph6_encode, make_split
-from fanfree.search import certify_max_q1, emit_certificate
+from fanfree.graphs import (complete_graph, disjoint_union, empty_graph,
+                            graph6_encode, make_split)
+from fanfree.matching import ForbiddenPattern
+from fanfree.search import certify_max_q1, emit_certificate, turan_bruteforce
+from fanfree.spectral import q1_split_lower_bound
 
 SPLIT_10_2 = graph6_encode(make_split(10, 2))
 
@@ -222,6 +225,19 @@ def test_certify_json_is_the_library_emitter(capsys):
     assert len(timeless(out)) == len(out.splitlines()) - 1
 
 
+@pytest.mark.parametrize("kind,k", [("kk2", 1), ("kk2", 2), ("kk2", 3),
+                                    ("fan", 1), ("fan", 2)])
+def test_turan_json_is_the_library_emitter(capsys, kind, k):
+    # from n = 1, so kK2 also runs below turan_kk2's range n >= 2k-1
+    for n in range(1, 7):
+        code, out, _ = run_cli(capsys, ["turan", "--n", str(n), "--pattern", kind,
+                                        "--k", str(k)])
+        assert code == 0
+        buf = io.StringIO()
+        emit_certificate(turan_bruteforce(n, ForbiddenPattern(kind, k)), buf)
+        assert out == buf.getvalue(), n
+
+
 # line 2 holds the byte 0xe9, which no graph6 line can hold
 NON_ASCII = b"C~\nC\xe9\nCr\n"
 
@@ -321,6 +337,31 @@ def test_bounds_subcommand(capsys, monkeypatch):
     assert rows[0]["q1"] == 0 and rows[0]["merris"] is None
     assert rows[0]["merris_vertex"] is None
     assert rows[1]["merris"] == 4 and rows[1]["merris_vertex"] == 0
+
+
+def test_bounds_cells_empty_where_the_library_is_undefined(capsys, monkeypatch):
+    # S(n,k) just below and at q1_split_lower_bound's n = 2k^2-4k+3; for
+    # k = 2 the order below is 2, which no S(n,2) has
+    splits = [make_split(n, k) for k in range(2, 6)
+              for n in (2 * k * k - 4 * k + 2, 2 * k * k - 4 * k + 3) if n > k]
+    # merris_bound is undefined at an isolated vertex
+    isolated = disjoint_union(complete_graph(3), empty_graph(1))
+    stdin = "".join(graph6_encode(g) + "\n" for g in splits + [isolated])
+    code, out, _ = run_cli(capsys, ["bounds", "--format", "json"], stdin=stdin,
+                           monkeypatch=monkeypatch)
+    assert code == 0
+    *rows, last = json.loads(out)
+    lower = {(row["n"], row["split_k"]): row["split_lower_bound"] for row in rows}
+    for k in range(2, 6):
+        n = 2 * k * k - 4 * k + 3
+        if k > 2:
+            assert lower[(n - 1, k)] is None
+        assert lower[(n, k)] == float(f"{q1_split_lower_bound(n, k):.15g}")
+    assert all(row["merris"] is not None for row in rows)
+    assert (last["q1"], last["merris"], last["merris_vertex"]) == (4, None, None)
+    code, out, _ = run_cli(capsys, ["bounds"], stdin=graph6_encode(isolated) + "\n",
+                           monkeypatch=monkeypatch)
+    assert out.split("\t")[3:6] == ["4", "", ""]
 
 
 def test_construct_subcommand(capsys):

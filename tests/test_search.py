@@ -324,11 +324,12 @@ def test_stream_errors_shared_by_both_consumers(consumer, graphs, error, message
         STREAM_CONSUMERS[consumer](iter(graphs))
     assert str(exc.value) == message
 
-# sha256 of the JSON list of turan payloads for n = 2..8 and k = 1..3:
-# the records every change to the pruned walk must keep
+# sha256 of the JSON list of turan payloads for n = 2..8 and k = 1..3,
+# formula columns included: the records every change to the pruned walk
+# must keep, equal to `fanfree turan`'s JSON
 TURAN_GRID_SHA256 = {
-    "fan": "c73d8ccdf67832f60ea60f4409a6e38d72cd3413e391749bdeb1b1db837a2b27",
-    "kk2": "f92502c416e7beb39ab22f9c9987669b88f0dbd80d24014295c327e5487447c5",
+    "fan": "b1b42d3aac51da3dff45f93b792c24b741205ee7545bc4764b8bbc76b86bb643",
+    "kk2": "cf37f6bba3f938edc238b947c28acfaee4fd17bf2f18e14345282a378ea94b3f",
 }
 
 

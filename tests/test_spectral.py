@@ -166,6 +166,15 @@ def test_q1_matches_numpy_oracle():
         assert abs(q1(g) - numpy_q1(g)) < 1e-9
 
 
+def test_q1_converges_past_a_hundred_sweeps():
+    # a labelling of efgg_construction(31, 2) whose clustered eigenvalues
+    # take 109 Jacobi sweeps
+    g = graph6_decode("^ilLlislAVh]lBlBH]YVelBLJrIVeTgXlJrHlBLlgXlu`eslBLglBLgH]"
+                      "XJyVeQ}Q{qVqsKu_yVeQ}G")
+    assert spectrum(signless_laplacian(g)).sweeps > 100
+    assert abs(q1(g) - np.linalg.eigvalsh(signless_laplacian(g).entries)[-1]) < 1e-9
+
+
 def test_split_closed_form():
     # (n + 2k - 2 + sqrt((n + 2k - 2)^2 - 8k(k-1))) / 2 against eigensolver
     assert abs(q1_split_closed_form(8, 2) - (5 + math.sqrt(21))) < 1e-12
