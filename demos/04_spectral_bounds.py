@@ -19,7 +19,6 @@ def main():
     ap.add_argument("--n-to", type=int, default=24)
     args = ap.parse_args()
     k = args.k
-    lower_from = 2 * k * k - 4 * k + 3
 
     print(f"{'n':>3} {'eigensolve':>12} {'closed':>12} {'quotient':>12} "
           f"{'lower':>12} {'degree ub':>12}")
@@ -28,7 +27,10 @@ def main():
         solved = q1(g)
         closed = q1_split_closed_form(n, k)
         quo = quotient_eigenvalues(split_quotient(n, k))[0]
-        low = q1_split_lower_bound(n, k) if n >= lower_from else float("nan")
+        try:
+            low = q1_split_lower_bound(n, k)
+        except ValueError:  # n below the bound's range
+            low = float("nan")
         ub, _ = merris_bound(g)
         print(f"{n:>3} {solved:>12.8f} {closed:>12.8f} {quo:>12.8f} "
               f"{low:>12.8f} {ub:>12.8f}")

@@ -270,42 +270,42 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _config_value(command: _Parser, key: str, value):
-    """A config entry read as its flag reads the command line: a switch
-    takes a JSON boolean, any other flag its own type and choices."""
+def _config_value(command: _Parser, key: str, value) -> tuple[str, object]:
+    """The destination and value of a config entry, read as its flag
+    reads the command line: a switch takes a JSON boolean, ``false``
+    setting the opposite of what the switch sets, and any other flag a
+    string or a number, checked by its own type and choices."""
     flag = "--" + key.replace("_", "-")
     action = command._option_string_actions[flag]
-    if action.nargs == 0:
-        if not isinstance(value, bool):
-            raise _UsageError(f"config key {key!r}: {flag} is a switch, "
-                              f"expected true or false")
-        return value
-    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        raise _UsageError(f"config key {key!r}: expected a string or a "
-                          f"number, got {json.dumps(value)}")
+    switch = action.nargs == 0
+    if switch != isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        expected = (f"{flag} is a switch, expected true or false" if switch
+                    else "expected a string or a number")
+        raise _UsageError(f"config key {key!r}: {expected}, got {json.dumps(value)}")
     try:
-        parsed = command.parse_args([f"{flag}={value}"])
+        parsed = command.parse_args([flag] if switch else [f"{flag}={value}"])
     except _UsageError as exc:
         raise _UsageError(f"config key {key!r}: {exc}") from None
-    return getattr(parsed, action.dest)
+    chosen = getattr(parsed, action.dest)
+    return action.dest, not chosen if value is False else chosen
 
 
 def _apply_config(parser: _Parser, args: argparse.Namespace) -> None:
     """Make the config file's entries defaults of the chosen subcommand;
-    an entry that is not one of its long flags, or that its flag would
-    not accept, is an error."""
+    an entry that is not one of its long flags other than ``--help``, or
+    that its flag would not accept, is an error."""
     with open(args.config, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise _UsageError("config file must hold a JSON object")
     command = parser.commands[args.command]
-    unknown = sorted(key for key in data if "--" + key.replace("_", "-")
+    unknown = sorted(key for key in data if key == "help" or "--" + key.replace("_", "-")
                      not in command._option_string_actions)
     if unknown:
         raise _UsageError(f"config keys not taken by {args.command}: "
                           + ", ".join(unknown))
-    command.set_defaults(**{key.replace("-", "_"): _config_value(command, key, v)
-                            for key, v in data.items()})
+    command.set_defaults(**dict(_config_value(command, key, v)
+                                for key, v in data.items()))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -160,16 +160,11 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
 
 
 def empty_graph(n: int) -> Graph:
-    if not 1 <= n <= MAX_VERTICES:
-        raise ValueError(f"n must be in 1..{MAX_VERTICES}")
-    return Graph._from_trusted(n, (0,) * n)
+    return Graph(n, (0,) * n)
 
 
 def complete_graph(n: int) -> Graph:
-    if not 1 <= n <= MAX_VERTICES:
-        raise ValueError(f"n must be in 1..{MAX_VERTICES}")
-    full = (1 << n) - 1
-    return Graph._from_trusted(n, tuple(full ^ (1 << v) for v in range(n)))
+    return Graph(n, tuple(((1 << n) - 1) ^ (1 << v) for v in range(n)))
 
 
 def path_graph(n: int) -> Graph:
@@ -196,21 +191,15 @@ def circulant_graph(n: int, offsets: Iterable[int]) -> Graph:
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
-    if g.n + h.n > MAX_VERTICES:
-        raise ValueError("combined order exceeds the vertex cap")
-    rows = list(g.adj) + [row << g.n for row in h.adj]
-    return Graph._from_trusted(g.n + h.n, tuple(rows))
+    return Graph(g.n + h.n, g.adj + tuple(row << g.n for row in h.adj))
 
 
 def join(g: Graph, h: Graph) -> Graph:
     """Disjoint union plus every edge between the two parts."""
-    if g.n + h.n > MAX_VERTICES:
-        raise ValueError("combined order exceeds the vertex cap")
     hmask = ((1 << h.n) - 1) << g.n
     gmask = (1 << g.n) - 1
-    rows = [row | hmask for row in g.adj]
-    rows += [(row << g.n) | gmask for row in h.adj]
-    return Graph._from_trusted(g.n + h.n, tuple(rows))
+    return Graph(g.n + h.n, tuple(row | hmask for row in g.adj)
+                 + tuple((row << g.n) | gmask for row in h.adj))
 
 
 def make_split(n: int, k: int) -> Graph:

@@ -28,8 +28,9 @@ from typing import Iterable, Iterator, TextIO
 from .enumeration import (EnumerationTask, canonical_form, count_classes,
                           enumerate_graphs)
 from .fans import _extension_fan_free, is_fan_free
-from .graphs import (Graph, circulant_graph, complete_graph, disjoint_union,
-                     empty_graph, graph6_decode, join, split_parameter)
+from .graphs import (MAX_VERTICES, Graph, circulant_graph, complete_graph,
+                     disjoint_union, empty_graph, graph6_decode, join,
+                     split_parameter)
 from .matching import ForbiddenPattern, TuranRecord, is_kk2_free, turan_kk2
 from .spectral import (EIGEN_ACCURACY, _adjacency_bits, _power_bounds, q1,
                        rayleigh_power_lambda1, signless_laplacian, spectrum)
@@ -177,22 +178,23 @@ def _scan(graphs: Iterable[Graph]) -> tuple[list[tuple[float, str]], int]:
     """``_trim`` of the entries of ``graphs``, which are all fan-free and
     of one order, and their number.
 
-    Let floor be -inf until five graphs are solved, then the smaller of
-    the fifth-best q1 and the best q1 minus MARGIN: ``_trim`` drops every
+    Each solved graph is held under its canonical graph6, with the
+    largest q1 solved for it, so copies of one class count once.  Let
+    floor be -inf until five classes are held, then the smaller of the
+    fifth-best held q1 and the best minus MARGIN: ``_trim`` drops every
     entry below it, and it never falls.  The graphs come in blocks of
-    SCAN_BLOCK, each taken in descending order of its power bounds
-    (``_power_bounds``, one call per block) and eigensolved up to the
-    first graph whose bound plus the eigensolver's accuracy is below
-    floor.  After each block only the solved graphs at or above floor
-    are held.  Every graph skipped has a q1 below a floor no higher than
-    the final one, so the result equals that of a scan that eigensolves
-    every graph.  A scan of more than one block logs progress at most
-    every PROGRESS_EVERY_S seconds.
+    SCAN_BLOCK, each taken in descending order of its power bounds (one
+    ``_power_bounds`` call per block) and eigensolved up to the first
+    graph whose bound plus the eigensolver's accuracy is below floor.
+    After each block only the entries at or above floor are held.  Every
+    graph skipped has a q1 below a floor no higher than the final one,
+    so the result equals that of a scan that eigensolves every graph.  A
+    scan of more than one block logs progress at most every
+    PROGRESS_EVERY_S seconds.
     """
     import numpy as np
 
-    held: list[tuple[float, Graph]] = []
-    top: list[float] = []  # the five largest q1 values so far, descending
+    held: dict[str, float] = {}
     floor = -math.inf
     scanned = solves = 0
     graphs = iter(graphs)
@@ -205,18 +207,18 @@ def _scan(graphs: Iterable[Graph]) -> tuple[list[tuple[float, str]], int]:
                 break
             value = q1(block[i])
             solves += 1
-            held.append((value, block[i]))
-            top = sorted(top + [value], reverse=True)[:5]
-            if len(top) == 5:
-                floor = min(top[4], top[0] - MARGIN)
-        held = [e for e in held if e[0] >= floor]
+            text = canonical_form(block[i]).text
+            held[text] = max(value, held.get(text, value))
+            if len(held) >= 5 and value >= floor:
+                top = sorted(held.values())[-5:]
+                floor = min(top[0], top[4] - MARGIN)
+        held = {text: value for text, value in held.items() if value >= floor}
         scanned += len(block)
         if scanned > len(block) and time.monotonic() - reported >= PROGRESS_EVERY_S:
             reported = time.monotonic()
-            logger.info("scan: %d classes scanned, %d graphs held, %d eigensolves, "
+            logger.info("scan: %d classes scanned, %d classes held, %d eigensolves, "
                         "floor %.6f", scanned, len(held), solves, floor)
-    entries = [(value, canonical_form(g).text) for value, g in held]
-    return _trim(entries), scanned
+    return _trim([(value, text) for text, value in held.items()]), scanned
 
 
 def _scan_shard(args: tuple[int, ForbiddenPattern, tuple[int, int] | None]):
@@ -316,15 +318,13 @@ def turan_bruteforce(n: int, pattern: ForbiddenPattern,
     regime of that formula; fan patterns have no such trichotomy.
     """
     best = -1
-    extremal: list[str] = []
+    extremal: set[str] = set()
     for g in _pattern_free(n, pattern, source):
         e = g.edge_count()
-        if e < best:
-            continue
         if e > best:
-            best = e
-            extremal = []
-        extremal.append(canonical_form(g).text)
+            best, extremal = e, set()
+        if e == best:
+            extremal.add(canonical_form(g).text)
 
     # fans, and kK2 outside turan_kk2's range, have no formula to check
     formula = _defined(turan_kk2, n, pattern.k) if pattern.kind == "kk2" else None
@@ -372,9 +372,9 @@ def efgg_construction(n: int, k: int) -> tuple[Graph, ConstructionSpec]:
         raise ValueError("k must be positive")
     odd = bool(k % 2)
     threshold = 4 * k - 1 if odd else 4 * k - 3
-    if n < threshold:
-        raise ValueError(
-            f"{'odd' if odd else 'even'} k={k} requires n >= {threshold}, got {n}")
+    if not threshold <= n <= MAX_VERTICES:
+        raise ValueError(f"{'odd' if odd else 'even'} k={k} requires "
+                         f"{threshold} <= n <= {MAX_VERTICES}, got {n}")
 
     if odd:
         embedded = disjoint_union(complete_graph(k), complete_graph(k))

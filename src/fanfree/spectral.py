@@ -9,8 +9,8 @@ Python floats, where the pivot arithmetic already runs.  Its bits are
 those of rotating whole rows: the buffer's stale and diagonal slots feed
 only entries the pivot block overwrites, so they need no store, and the
 diagonal is written back before each sweep's norm.
-``rayleigh_power_lambda1`` provides an algorithmically independent
-cross-check of the dominant eigenvalue for tests.
+``rayleigh_power_lambda1`` is an algorithmically independent check of
+the dominant eigenvalue; certify re-checks its winner's q1 with it.
 
 Each function that computes with numpy imports it in its own body, so
 that importing the package and running the integer commands never load

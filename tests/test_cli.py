@@ -397,6 +397,11 @@ def test_config_file_defaults_and_flag_priority(capsys, tmp_path):
     code, out, err = run_cli(capsys, ["--config", str(cfg), "q1"])
     assert code == 1 and out == ""
     assert "shardz" in err and "tol_eigen" in err
+    # --help is no default: parsing it would print help instead of running
+    for value in (True, False):
+        cfg.write_text(json.dumps({"help": value}))
+        code, out, err = run_cli(capsys, ["--config", str(cfg), "q1"])
+        assert code == 1 and out == "" and "help" in err
 
 
 @pytest.mark.parametrize("argv,config,key", [
@@ -513,3 +518,46 @@ def test_console_script_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "Bw\t3\t3\t4\n"
+
+
+def test_construct_names_order_above_cap(capsys):
+    code, out, err = run_cli(capsys, ["construct", "--n", "70", "--k", "2"])
+    assert code == 1 and out == ""
+    assert "70" in err
+
+
+@pytest.mark.parametrize("config,skips", [
+    ({"no_fail_fast": True}, True),
+    ({"no-fail-fast": True}, True),
+    ({"fail_fast": False}, True),
+    ({"no_fail_fast": False}, False),
+    ({"fail_fast": True}, False),
+])
+def test_config_switch_spellings(capsys, tmp_path, config, skips):
+    # each spelling of a switch sets what its flag sets, and false the
+    # opposite, so a malformed line is skipped exactly as --no-fail-fast does
+    path = tmp_path / "bad.g6"
+    path.write_text("Bw\n!!!!\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, ["--config", str(cfg), "q1", "--input", str(path)])
+    if skips:
+        assert code == 0 and out.startswith("Bw\t")
+    else:
+        assert code == 1 and "line 2" in err
+
+
+def test_stream_copies_of_one_class_count_once(capsys, tmp_path):
+    # S(8,2) and its vertex reversal are one class: certify finds the
+    # split graph unique, and turan lists its class once
+    path = tmp_path / "two.g6"
+    path.write_text("G}rEE?\nG??F~{\n")
+    code, out, _ = run_cli(capsys, ["certify", "--n", "8", "--k", "2",
+                                    "--input", str(path)])
+    cert = json.loads(out)
+    assert code == 0
+    assert cert["unique"] and cert["winner_is_split"] and cert["scanned"] == 2
+    assert [e["graph6"] for e in cert["near_maximal"]] == ["G}rEE?"]
+    code, out, _ = run_cli(capsys, ["turan", "--n", "8", "--pattern", "fan",
+                                    "--k", "2", "--input", str(path)])
+    assert code == 0 and json.loads(out)["extremal"] == ["G}rEE?"]

@@ -202,3 +202,22 @@ def test_graph_properties(data):
     h = permuted(g, perm)
     assert h.edge_count() == g.edge_count()
     assert sorted(h.degree_sequence()) == sorted(g.degree_sequence())
+
+
+
+def _union(n):
+    return disjoint_union(empty_graph(n // 2), complete_graph(n - n // 2))
+
+
+def _join(n):
+    return join(complete_graph(n // 2), empty_graph(n - n // 2))
+
+
+@pytest.mark.parametrize("build,n", [
+    *((f, n) for f in (empty_graph, complete_graph) for n in (0, -1, 65)),
+    *((f, n) for f in (_union, _join) for n in (65, 128)),
+])
+def test_builders_reject_order_through_graph(build, n):
+    # the builders construct through Graph, whose error names the order
+    with pytest.raises(ValueError, match=f"vertex count must be in 1..64, got {n}$"):
+        build(n)

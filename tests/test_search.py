@@ -22,7 +22,7 @@ from fanfree.search import (MARGIN, MARGIN_TIGHT, ConstructionSpec,
                             emit_certificate, theorem_regime, turan_bruteforce)
 from fanfree.spectral import EIGEN_ACCURACY, q1_split_closed_form
 
-from helpers import naive_contains_fan, numpy_q1
+from helpers import naive_contains_fan, numpy_q1, permuted
 
 
 def test_theorem_regime_boundary():
@@ -450,3 +450,18 @@ def test_emit_turan_record():
 def test_emit_rejects_unknown_type():
     with pytest.raises(TypeError):
         emit_certificate({"not": "a certificate"}, io.StringIO())
+
+
+def test_stream_copies_leave_the_floor_to_other_classes():
+    # five labellings of S(8,2) ahead of the exhaustive run's near-maximal
+    # classes: the copies are one class, so the others keep their places
+    full = certify_max_q1(8, 2)
+    rng = random.Random(8)
+    split = make_split(8, 2)
+    copies = [permuted(split, rng.sample(range(8), 8)) for _ in range(5)]
+    stream = copies + [graph6_decode(text) for text, _ in full.near_maximal]
+    cert = certify_max_q1(8, 2, stream)
+    assert [t for t, _ in cert.near_maximal] == [t for t, _ in full.near_maximal]
+    for (_, value), (_, expect) in zip(cert.near_maximal, full.near_maximal):
+        assert abs(value - expect) < EIGEN_ACCURACY
+    assert cert.unique and cert.winner_is_split
